@@ -1,7 +1,7 @@
 // Command-line experiment runner — the library's "one binary to try
 // everything". Runs one pre-train + probe pipeline from flags:
 //
-//   gradgcl_cli --task=graph    --dataset=MUTAG  --backbone=graphcl \
+//   gradgcl_cli --task=graph    --dataset=MUTAG  --backbone=graphcl
 //               --weight=0.5    --epochs=15      --seed=1
 //   gradgcl_cli --task=node     --dataset=Cora   --backbone=grace
 //   gradgcl_cli --task=transfer --dataset=BBBP   --backbone=simgrace
@@ -45,7 +45,9 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
     if (arg.rfind("--", 0) != 0) continue;
     const size_t eq = arg.find('=');
     if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
+      // A std::string, not the bare literal: assigning "1" trips a
+      // GCC 12 -Wrestrict false positive.
+      flags[arg.substr(2)] = std::string("1");
     } else {
       flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
     }

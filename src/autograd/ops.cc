@@ -11,9 +11,11 @@ namespace {
 
 using internal::Node;
 
-// Shorthand: does a node participate in gradient flow?
+// Shorthand: does a node participate in gradient flow? An op node does
+// only if it got a backward closure, i.e. some ancestor is a parameter;
+// an op on constants alone gets no gradient (nothing would read it).
 bool NeedsGrad(const std::shared_ptr<Node>& n) {
-  return n->requires_grad || !n->parents.empty();
+  return n->requires_grad || static_cast<bool>(n->backward_fn);
 }
 
 }  // namespace
@@ -133,11 +135,13 @@ Variable Transpose(const Variable& a) {
 Variable Relu(const Variable& a) {
   return Variable::MakeOp(gradgcl::Relu(a.value()), {a}, [](Node& out) {
     if (NeedsGrad(out.parents[0])) {
+      // A select, not a branch: the signs are close to 50/50, so a
+      // branch mispredicts half the time. NaN inputs pass the gradient.
       Matrix g = out.grad;
-      const Matrix& x = out.parents[0]->value;
-      for (int i = 0; i < g.size(); ++i) {
-        if (x.at_flat(i) <= 0.0) g.at_flat(i) = 0.0;
-      }
+      double* gd = g.data();
+      const double* x = out.parents[0]->value.data();
+      const int n = g.size();
+      for (int i = 0; i < n; ++i) gd[i] = x[i] <= 0.0 ? 0.0 : gd[i];
       out.parents[0]->AccumulateGrad(g);
     }
   });
@@ -149,11 +153,12 @@ Variable LeakyRelu(const Variable& a, double slope) {
                  [slope](double v) { return v > 0.0 ? v : slope * v; });
   return Variable::MakeOp(std::move(y), {a}, [slope](Node& out) {
     if (NeedsGrad(out.parents[0])) {
+      // Branch-free like Relu's backward.
       Matrix g = out.grad;
-      const Matrix& x = out.parents[0]->value;
-      for (int i = 0; i < g.size(); ++i) {
-        if (x.at_flat(i) <= 0.0) g.at_flat(i) *= slope;
-      }
+      double* gd = g.data();
+      const double* x = out.parents[0]->value.data();
+      const int n = g.size();
+      for (int i = 0; i < n; ++i) gd[i] = x[i] <= 0.0 ? gd[i] * slope : gd[i];
       out.parents[0]->AccumulateGrad(g);
     }
   });

@@ -89,8 +89,9 @@ Variable Variable::MakeOp(Matrix value, std::vector<Variable> parents,
   for (const Variable& p : parents) {
     GRADGCL_CHECK_MSG(p.defined(), "op on null Variable");
     out.node_->parents.push_back(p.node());
-    // A node needs gradients if any ancestor is a parameter.
-    if (p.node()->requires_grad || !p.node()->parents.empty()) {
+    // A node needs gradients if any ancestor is a parameter: the parent
+    // is one, or got a backward closure because one of its ancestors is.
+    if (p.node()->requires_grad || p.node()->backward_fn) {
       any_grad = true;
     }
   }

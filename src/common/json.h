@@ -58,7 +58,13 @@ inline std::string JsonEscape(std::string_view s) {
 
 // Convenience: `"escaped"` with the surrounding quotes included.
 inline std::string JsonString(std::string_view s) {
-  return "\"" + JsonEscape(s) + "\"";
+  // Appended, not `"\"" + ... + "\""`: that operator+ chain trips a
+  // GCC 12 -Wrestrict false positive.
+  const std::string escaped = JsonEscape(s);
+  std::string out;
+  out.reserve(escaped.size() + 2);
+  out.append(1, '"').append(escaped).append(1, '"');
+  return out;
 }
 
 }  // namespace gradgcl

@@ -28,7 +28,10 @@ struct GraphBatch {
   std::vector<int> labels;
 };
 
-// Builds the disjoint-union batch. All graphs must share feature_dim.
+// Builds the disjoint-union batch. All graphs must share feature_dim
+// and pass ValidateGraph (checked; aborts otherwise). Both operators
+// are written directly as canonical CSR, row by row, with no triplet
+// sort; duplicate edges are summed, as the triplet constructor would.
 GraphBatch MakeBatch(const std::vector<Graph>& graphs);
 
 // Builds a batch from the subset graphs[indices[k]].

@@ -48,6 +48,18 @@ inline double HSum(__m256d v) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
+// Four HSums at once: lane q of the result is HSum(v[q]), summed in the
+// same ((l0 + l1) + (l2 + l3)) order. hadd forms the pair sums
+// [v0 l0+l1, v1 l0+l1, v0 l2+l3, v1 l2+l3] (likewise v2, v3); the
+// 128-bit permutes line up each vector's (l0+l1) with its (l2+l3).
+inline __m256d HSum4(const __m256d v[4]) {
+  const __m256d h01 = _mm256_hadd_pd(v[0], v[1]);
+  const __m256d h23 = _mm256_hadd_pd(v[2], v[3]);
+  const __m256d lo = _mm256_permute2f128_pd(h01, h23, 0x20);
+  const __m256d hi = _mm256_permute2f128_pd(h01, h23, 0x31);
+  return _mm256_add_pd(lo, hi);
+}
+
 // Mask selecting the first `w` of 4 lanes (w in [0, 4]).
 inline __m256i LaneMask(int64_t w) {
   alignas(32) int64_t bits[4];
@@ -234,8 +246,10 @@ void GemmTransBAvx2(const double* a, const double* b, double* c, int64_t ldc,
                     int64_t rows, int64_t k, int64_t m, double scale) {
   // 2x4 register tile of independent dot chains for latency hiding;
   // each (i, j) pair owns one accumulator vector, so its bits match a
-  // standalone DotAvx2 exactly.
+  // standalone DotAvx2 exactly. HSum4 combines a row's four chains in
+  // one step, in HSum's order.
   const int64_t ktail = k - k % 4;
+  const __m256d vscale = _mm256_set1_pd(scale);
   int64_t i = 0;
   for (; i + 2 <= rows; i += 2) {
     const double* a0 = a + i * k;
@@ -258,17 +272,24 @@ void GemmTransBAvx2(const double* a, const double* b, double* c, int64_t ldc,
           acc1[q] = _mm256_fmadd_pd(av1, bv, acc1[q]);
         }
       }
-      for (int q = 0; q < 4; ++q) {
-        const double* brow = b + (j + q) * k;
-        double d0 = HSum(acc0[q]);
-        double d1 = HSum(acc1[q]);
-        for (int64_t kk = ktail; kk < k; ++kk) {
-          d0 = std::fma(a0[kk], brow[kk], d0);
-          d1 = std::fma(a1[kk], brow[kk], d1);
+      __m256d d0 = HSum4(acc0);
+      __m256d d1 = HSum4(acc1);
+      if (ktail < k) {
+        alignas(32) double t0[4], t1[4];
+        _mm256_store_pd(t0, d0);
+        _mm256_store_pd(t1, d1);
+        for (int q = 0; q < 4; ++q) {
+          const double* brow = b + (j + q) * k;
+          for (int64_t kk = ktail; kk < k; ++kk) {
+            t0[q] = std::fma(a0[kk], brow[kk], t0[q]);
+            t1[q] = std::fma(a1[kk], brow[kk], t1[q]);
+          }
         }
-        c0[j + q] = d0 * scale;
-        c1[j + q] = d1 * scale;
+        d0 = _mm256_load_pd(t0);
+        d1 = _mm256_load_pd(t1);
       }
+      _mm256_storeu_pd(c0 + j, _mm256_mul_pd(d0, vscale));
+      _mm256_storeu_pd(c1 + j, _mm256_mul_pd(d1, vscale));
     }
     for (; j < m; ++j) {
       const double* brow = b + j * k;

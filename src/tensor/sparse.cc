@@ -35,6 +35,40 @@ SparseMatrix::SparseMatrix(int rows, int cols, std::vector<Triplet> triplets)
   for (int r = 0; r < rows; ++r) row_offsets_[r + 1] += row_offsets_[r];
 }
 
+SparseMatrix SparseMatrix::FromCsr(int rows, int cols,
+                                   std::vector<int> row_offsets,
+                                   std::vector<int> col_indices,
+                                   std::vector<double> values) {
+  GRADGCL_CHECK(rows >= 0 && cols >= 0);
+  GRADGCL_CHECK_MSG(row_offsets.size() == static_cast<size_t>(rows) + 1,
+                    "CSR row_offsets must have rows + 1 entries");
+  GRADGCL_CHECK_MSG(col_indices.size() == values.size(),
+                    "CSR col_indices and values differ in length");
+  GRADGCL_CHECK_MSG(row_offsets[0] == 0 &&
+                        static_cast<size_t>(row_offsets[rows]) ==
+                            col_indices.size(),
+                    "CSR row_offsets must run from 0 to nnz");
+  for (int r = 0; r < rows; ++r) {
+    const int begin = row_offsets[r];
+    const int end = row_offsets[r + 1];
+    GRADGCL_CHECK_MSG(begin <= end && end <= row_offsets[rows],
+                      "CSR row_offsets must be non-decreasing");
+    for (int k = begin; k < end; ++k) {
+      const int c = col_indices[k];
+      GRADGCL_CHECK_MSG(c >= 0 && c < cols, "CSR column out of range");
+      GRADGCL_CHECK_MSG(k == begin || col_indices[k - 1] < c,
+                        "CSR columns must be strictly ascending in a row");
+    }
+  }
+  SparseMatrix s;
+  s.rows_ = rows;
+  s.cols_ = cols;
+  s.row_offsets_ = std::move(row_offsets);
+  s.col_indices_ = std::move(col_indices);
+  s.values_ = std::move(values);
+  return s;
+}
+
 Matrix SparseMatrix::Multiply(const Matrix& x) const {
   GRADGCL_CHECK_MSG(x.rows() == cols_, "SparseMatrix::Multiply shape mismatch");
   const int64_t cols = x.cols();

@@ -32,6 +32,15 @@ class SparseMatrix {
   // Builds from triplets; duplicate (row, col) entries are summed.
   SparseMatrix(int rows, int cols, std::vector<Triplet> triplets);
 
+  // Adopts arrays that are already canonical CSR: row_offsets has
+  // rows + 1 non-decreasing entries from 0 to nnz, and each row's
+  // columns are in range and strictly ascending. Checked in every
+  // build; the result equals the triplet constructor's for the same
+  // entries.
+  static SparseMatrix FromCsr(int rows, int cols, std::vector<int> row_offsets,
+                              std::vector<int> col_indices,
+                              std::vector<double> values);
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   int nnz() const { return static_cast<int>(values_.size()); }

@@ -4,6 +4,8 @@
 // reproduction rests on.
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +125,40 @@ TEST(AutogradOps, LeakyReluValueAndGradient) {
   Backward(ag::Sum(y));
   EXPECT_DOUBLE_EQ(x.grad()(0, 0), 0.1);
   EXPECT_DOUBLE_EQ(x.grad()(0, 1), 1.0);
+}
+
+// Bit pattern of a double, so signed zeros and NaN compare exactly.
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Input gradient of `act` at the kink and at non-finite inputs, for the
+// upstream gradient (3, 5, ..., 13).
+Matrix KinkInputGradient(const std::function<Variable(const Variable&)>& act) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Variable x(Matrix{{-1.0, -0.0, 0.0, 1e-300, inf, nan}}, true);
+  const Variable upstream(Matrix{{3.0, 5.0, 7.0, 9.0, 11.0, 13.0}});
+  Backward(ag::Sum(ag::Hadamard(act(x), upstream)));
+  return x.grad();
+}
+
+TEST(AutogradOps, ReluBackwardAtKinkAndNonFinite) {
+  // x <= 0 (both zeros included) zeroes the gradient; x > 0 and NaN,
+  // for which x <= 0 is false, pass it through.
+  const Matrix g =
+      KinkInputGradient([](const Variable& x) { return ag::Relu(x); });
+  const double want[] = {0.0, 0.0, 0.0, 9.0, 11.0, 13.0};
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(Bits(g(0, i)), Bits(want[i])) << i;
+}
+
+TEST(AutogradOps, LeakyReluBackwardAtKinkAndNonFinite) {
+  const Matrix g = KinkInputGradient(
+      [](const Variable& x) { return ag::LeakyRelu(x, 0.25); });
+  const double want[] = {0.75, 1.25, 1.75, 9.0, 11.0, 13.0};
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(Bits(g(0, i)), Bits(want[i])) << i;
 }
 
 TEST(AutogradOps, MaskedRowSoftmaxGradient) {
@@ -399,6 +435,22 @@ TEST(AutogradTape, ConstantsReceiveNoGradients) {
   Backward(ag::Sum(ag::Hadamard(c, x)));
   EXPECT_TRUE(AllClose(x.grad(), c.value(), 1e-12));
   EXPECT_DOUBLE_EQ(c.grad().FrobeniusNorm(), 0.0);
+}
+
+TEST(AutogradTape, ConstantSubgraphsGetNoGradient) {
+  // A first GNN layer aggregates constant features: A · X is an op node
+  // whose inputs are all constants, and so is anything built on it
+  // alone. Nothing reads their gradients, so Backward computes none.
+  const SparseMatrix a(3, 3, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0},
+                              {1, 1, 1.0}, {2, 2, 1.0}});
+  Variable ax = ag::SparseLeftMatMul(a, Variable(Matrix(3, 2, 0.5)));
+  Variable scaled = ag::ScalarMul(ax, 2.0);
+  Variable w = Param(2, 4, 56);
+  Backward(ag::Sum(ag::MatMul(scaled, w)));
+  EXPECT_FALSE(ax.node()->grad_initialized);
+  EXPECT_FALSE(scaled.node()->grad_initialized);
+  EXPECT_TRUE(AllClose(
+      w.grad(), MatMulTransA(scaled.value(), Matrix(3, 4, 1.0)), 1e-12));
 }
 
 TEST(AutogradTape, ParameterReuseAcrossGraphs) {

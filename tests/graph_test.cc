@@ -1,9 +1,12 @@
 #include "graph/graph.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "augment/augment.h"
+#include "datasets/tu_synthetic.h"
 #include "graph/batch.h"
 #include "graph/diffusion.h"
 #include "graph/stats.h"
@@ -188,6 +191,119 @@ TEST(BatchDeathTest, EmptyBatchAborts) {
   EXPECT_DEATH(MakeBatch(empty), "zero graphs");
 }
 
+// MakeBatch indexes degrees, rows and features by node id, so every
+// ValidateGraph invariant must abort before the first write.
+TEST(BatchDeathTest, InvalidGraphAborts) {
+  Graph far = PathGraph();
+  far.edges.emplace_back(0, 7);
+  EXPECT_DEATH(MakeBatch({TriangleGraph(), far}), "out of range");
+  Graph negative = PathGraph();
+  negative.edges.emplace_back(-1, 2);
+  EXPECT_DEATH(MakeBatch({negative}), "out of range");
+  Graph loop = PathGraph();
+  loop.edges.emplace_back(1, 1);
+  EXPECT_DEATH(MakeBatch({loop}), "self loop");
+  Graph short_features = PathGraph();
+  short_features.features = Matrix(2, 2, 0.0);
+  EXPECT_DEATH(MakeBatch({short_features}), "num_nodes");
+}
+
+// The operators as MakeBatch emitted them before it built CSR directly:
+// a self loop per node, then both directions of every edge, through the
+// sorting triplet constructor. Kept as the byte-level reference.
+void TripletReference(const std::vector<Graph>& graphs, SparseMatrix* norm_adj,
+                      SparseMatrix* adj_self) {
+  std::vector<Triplet> norm_triplets;
+  std::vector<Triplet> self_triplets;
+  int offset = 0;
+  for (const Graph& g : graphs) {
+    std::vector<int> deg(g.num_nodes, 0);
+    for (const auto& [u, v] : g.edges) {
+      ++deg[u];
+      ++deg[v];
+    }
+    for (int i = 0; i < g.num_nodes; ++i) {
+      const double inv = 1.0 / (static_cast<double>(deg[i]) + 1.0);
+      norm_triplets.push_back({offset + i, offset + i, inv});
+      self_triplets.push_back({offset + i, offset + i, 1.0});
+    }
+    for (const auto& [u, v] : g.edges) {
+      const double w =
+          1.0 / std::sqrt((deg[u] + 1.0)) / std::sqrt((deg[v] + 1.0));
+      norm_triplets.push_back({offset + u, offset + v, w});
+      norm_triplets.push_back({offset + v, offset + u, w});
+      self_triplets.push_back({offset + u, offset + v, 1.0});
+      self_triplets.push_back({offset + v, offset + u, 1.0});
+    }
+    offset += g.num_nodes;
+  }
+  *norm_adj = SparseMatrix(offset, offset, std::move(norm_triplets));
+  *adj_self = SparseMatrix(offset, offset, std::move(self_triplets));
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void ExpectSameCsr(const SparseMatrix& got, const SparseMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_TRUE(SameBytes(got.row_offsets(), want.row_offsets()));
+  EXPECT_TRUE(SameBytes(got.col_indices(), want.col_indices()));
+  EXPECT_TRUE(SameBytes(got.values(), want.values()));
+}
+
+void ExpectBatchMatchesTriplets(const std::vector<Graph>& graphs) {
+  const GraphBatch batch = MakeBatch(graphs);
+  SparseMatrix norm_adj;
+  SparseMatrix adj_self;
+  TripletReference(graphs, &norm_adj, &adj_self);
+  ExpectSameCsr(batch.norm_adj, norm_adj);
+  ExpectSameCsr(batch.adj_self, adj_self);
+}
+
+Graph EdgelessGraph(int n) {
+  Graph g;
+  g.num_nodes = n;
+  g.features = Matrix::Ones(n, 2);
+  return g;
+}
+
+// Hub 0 joined to `leaves` nodes, edges listed leaf-descending so the
+// hub row arrives reversed (and longer than an insertion-sorted row).
+Graph StarGraph(int leaves) {
+  Graph g = EdgelessGraph(leaves + 1);
+  for (int i = leaves; i >= 1; --i) g.edges.emplace_back(i, 0);
+  return g;
+}
+
+TEST(BatchTest, CsrBytesMatchTripletReference) {
+  TuProfile profile = TuProfileByName("PROTEINS");
+  profile.num_graphs = 48;
+  const std::vector<Graph> data = GenerateTuDataset(profile, 17);
+  Rng rng(23);
+  for (AugmentKind kind : AllAugmentKinds()) {
+    SCOPED_TRACE(AugmentKindName(kind));
+    std::vector<Graph> views;
+    for (const Graph& g : data) views.push_back(Augment(g, kind, 0.2, rng));
+    ExpectBatchMatchesTriplets(views);
+  }
+  ExpectBatchMatchesTriplets({EdgelessGraph(1)});
+  ExpectBatchMatchesTriplets({EdgelessGraph(1), PathGraph(), EdgelessGraph(4)});
+  ExpectBatchMatchesTriplets({StarGraph(40), TriangleGraph()});
+  // Duplicate edges sum: (0, 1) twice, (1, 2) once per direction, and
+  // (3, 4) three times.
+  Graph dup = PathGraph(5);
+  dup.edges.emplace_back(0, 1);
+  dup.edges.emplace_back(2, 1);
+  dup.edges.emplace_back(3, 4);
+  dup.edges.emplace_back(3, 4);
+  ExpectBatchMatchesTriplets({TriangleGraph(), dup});
+}
+
 // --- Diffusion ----------------------------------------------------------------
 
 TEST(DiffusionTest, PprRowsSumToOne) {
@@ -206,7 +322,9 @@ TEST(DiffusionTest, PprDiagonalDominant) {
   const Matrix s = PprDiffusion(PathGraph(5), 0.2);
   for (int i = 0; i < 5; ++i) {
     for (int j = 0; j < 5; ++j) {
-      if (i != j) EXPECT_GT(s(i, i), s(i, j));
+      if (i != j) {
+        EXPECT_GT(s(i, i), s(i, j));
+      }
     }
   }
 }

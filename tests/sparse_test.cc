@@ -68,6 +68,40 @@ TEST(SparseTest, CsrStructureSorted) {
   EXPECT_LT(s.col_indices()[0], s.col_indices()[1]);
 }
 
+TEST(SparseTest, FromCsrAdoptsCanonicalArrays) {
+  const SparseMatrix t(3, 4, {{2, 0, 1.5}, {0, 3, -1.0}, {0, 1, 2.0}});
+  const SparseMatrix s =
+      SparseMatrix::FromCsr(3, 4, {0, 2, 2, 3}, {1, 3, 0}, {2.0, -1.0, 1.5});
+  EXPECT_EQ(s.rows(), 3);
+  EXPECT_EQ(s.cols(), 4);
+  EXPECT_EQ(s.row_offsets(), t.row_offsets());
+  EXPECT_EQ(s.col_indices(), t.col_indices());
+  EXPECT_EQ(s.values(), t.values());
+  const SparseMatrix empty = SparseMatrix::FromCsr(2, 2, {0, 0, 0}, {}, {});
+  EXPECT_EQ(empty.nnz(), 0);
+}
+
+TEST(SparseDeathTest, FromCsrRejectsNonCanonicalArrays) {
+  // Offsets: wrong count, not starting at 0, arrays of unequal length,
+  // not ending at nnz, and decreasing (the last offset still nnz).
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 2, {0, 1}, {0}, {1.0}), "rows \\+ 1");
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 2, {1, 1, 1}, {0}, {1.0}), "0 to nnz");
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 2, {0, 1, 1}, {0}, {1.0, 2.0}),
+               "differ in length");
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 2, {0, 1, 1}, {0, 1}, {1.0, 1.0}),
+               "0 to nnz");
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 2, {0, 5, 2}, {0, 1}, {1.0, 1.0}),
+               "non-decreasing");
+  // Columns: out of range, negative, repeated, descending.
+  EXPECT_DEATH(SparseMatrix::FromCsr(1, 2, {0, 1}, {2}, {1.0}), "out of range");
+  EXPECT_DEATH(SparseMatrix::FromCsr(1, 2, {0, 1}, {-1}, {1.0}),
+               "out of range");
+  EXPECT_DEATH(SparseMatrix::FromCsr(1, 2, {0, 2}, {1, 1}, {1.0, 1.0}),
+               "strictly ascending");
+  EXPECT_DEATH(SparseMatrix::FromCsr(1, 2, {0, 2}, {1, 0}, {1.0, 1.0}),
+               "strictly ascending");
+}
+
 TEST(SparseDeathTest, InvalidTripletAborts) {
   EXPECT_DEATH(SparseMatrix(2, 2, {{2, 0, 1.0}}), "GRADGCL_CHECK");
   EXPECT_DEATH(SparseMatrix(2, 2, {{0, -1, 1.0}}), "GRADGCL_CHECK");
