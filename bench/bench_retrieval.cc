@@ -170,7 +170,6 @@ EngineRow RunEngineLeg(const IvfIndex& index, const Matrix& queries,
   obs::MetricsRegistry::Instance().Reset();
   RetrievalOptions options;
   options.num_workers = 1;
-  options.num_shards = 4;
   options.max_batch_queries = 64;
   options.max_wait_micros = 0.0;
   options.max_queue_queries = 4096;
@@ -178,7 +177,7 @@ EngineRow RunEngineLeg(const IvfIndex& index, const Matrix& queries,
   RetrievalEngine engine(index, options);
 
   // Reference results for parity: the engine must reproduce direct
-  // search bitwise whatever the batching/stealing timing.
+  // search bitwise whatever the batching timing.
   constexpr int kClientBatch = 16;
   const int num_requests = kNumQueries / kClientBatch;
   std::vector<Matrix> request_queries;

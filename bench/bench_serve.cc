@@ -2,20 +2,21 @@
 // N client threads each submit one embedding request at a time and
 // immediately resubmit on completion (closed loop — offered load tracks
 // service capacity, no coordinated-omission artifacts). The bench
-// sweeps client counts, batching deadlines, and ingress shard counts
-// against a fixed frozen session and writes BENCH_serve.json with
-// throughput, latency percentiles (p50/p95/p99 straight from the
-// serve/latency_us histogram), realized batch sizes, and steal counts.
+// sweeps client counts, batching deadlines, and worker counts against a
+// fixed frozen session and writes BENCH_serve.json. Every config runs
+// kReps times; a row reports the median-throughput rep (its latency
+// percentiles come straight from the serve/latency_us histogram) plus
+// the throughput quartiles over all reps.
 //
-// Headline comparisons:
-//  * dynamic micro-batching (max_batch_graphs > 1) vs single-request
-//    serving (max_batch_graphs = 1) at 8 closed-loop clients —
-//    "speedup_at_8_clients";
-//  * sharded ingress (num_shards = 8) vs the legacy single queue
-//    (num_shards = 1) at 8 clients — "sharded_vs_single_queue", with
-//    both throughputs and p99s recorded side by side.
+// Headline comparison: dynamic micro-batching (max_batch_graphs > 1) vs
+// single-request serving (max_batch_graphs = 1) at 8 closed-loop
+// clients — "speedup_at_8_clients".
 //
 // Extra legs:
+//  * a worker grid (worker_grid): workers {1, 2, 4} x clients
+//    {1, 4, 8, 16} at deadlines 0 and 100us, with the best cell per
+//    client count (grid_best) — how far extra workers on the one
+//    ingress queue pay on this host;
 //  * a latency-SLO sweep (slo_c*): p99 vs offered load at a fixed
 //    tight batching policy, the curve capacity planning reads;
 //  * a hot-swap-under-load leg: >= 100 ModelRegistry snapshot swaps
@@ -64,31 +65,32 @@ using serve::ServeOptions;
 using serve::ServeStatus;
 
 constexpr double kRunSeconds = 0.4;  // per rep
-constexpr int kReps = 5;             // best-of, as in bench_micro_ops
-constexpr int kNumWorkers = 1;       // single-core container: one executor
+constexpr int kReps = 5;             // median and quartiles over reps
 
 struct RunConfig {
   std::string label;
   int clients = 1;
   int max_batch_graphs = 16;
   double max_wait_micros = 200.0;
-  int num_shards = 1;
+  int num_workers = 1;
 };
 
 struct RunResult {
   RunConfig config;
   uint64_t completed = 0;
   uint64_t mismatched = 0;
-  uint64_t steals = 0;
   double seconds = 0.0;
   double throughput_rps = 0.0;
+  // Throughput quartiles over the reps this row summarizes.
+  double throughput_q1_rps = 0.0;
+  double throughput_q3_rps = 0.0;
   obs::PercentileSummary latency_us;
   double mean_batch_graphs = 0.0;
 };
 
 // Outcome of the hot-swap-under-load leg.
 struct HotSwapResult {
-  int num_shards = 0;
+  int num_workers = 0;
   uint64_t versions_published = 0;
   uint64_t completed = 0;
   uint64_t dropped = 0;
@@ -101,20 +103,54 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
                      sizeof(double) * static_cast<size_t>(a.size())) == 0;
 }
 
+// Closed-loop clients keep one request each in flight, so the bounded
+// but generous queue never rejects: a rejection would poison the parity
+// loop.
+ServeOptions EngineOptions(const RunConfig& config) {
+  ServeOptions opts;
+  opts.num_workers = config.num_workers;
+  opts.max_batch_graphs = config.max_batch_graphs;
+  opts.max_wait_micros = config.max_wait_micros;
+  opts.max_queue_graphs = std::max(64, 8 * config.clients);
+  return opts;
+}
+
+// Fills the latency percentiles and realized batch size of `result` from
+// the serve metrics of the run that just finished.
+void ReadEngineMetrics(RunResult* result) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
+  if (const obs::HistogramData* lat = snap.histogram("serve/latency_us")) {
+    result->latency_us = obs::SummarizePercentiles(*lat);
+  }
+  const uint64_t batches = snap.counter("serve/batches");
+  const uint64_t batched_graphs = snap.counter("serve/graphs");
+  result->mean_batch_graphs =
+      batches > 0 ? static_cast<double>(batched_graphs) / batches : 0.0;
+}
+
+// The median-throughput rep of `reps`, annotated with the throughput
+// quartiles; mismatches are summed over every rep so the parity gate
+// sees all of them.
+RunResult SummarizeReps(std::vector<RunResult> reps) {
+  std::sort(reps.begin(), reps.end(),
+            [](const RunResult& a, const RunResult& b) {
+              return a.throughput_rps < b.throughput_rps;
+            });
+  const size_t n = reps.size();
+  RunResult median = reps[n / 2];
+  median.throughput_q1_rps = reps[n / 4].throughput_rps;
+  median.throughput_q3_rps = reps[(3 * n) / 4].throughput_rps;
+  median.mismatched = 0;
+  for (const RunResult& r : reps) median.mismatched += r.mismatched;
+  return median;
+}
+
 RunResult RunClosedLoop(const InferenceSession& session,
                         const std::vector<Graph>& graphs,
                         const std::vector<Matrix>& refs,
                         const RunConfig& config) {
   obs::MetricsRegistry::Instance().Reset();
-  ServeOptions opts;
-  opts.num_workers = kNumWorkers;
-  opts.num_shards = config.num_shards;
-  opts.max_batch_graphs = config.max_batch_graphs;
-  opts.max_wait_micros = config.max_wait_micros;
-  // Bounded but generous: per-shard slices must still fit a client's
-  // request, and admission rejections would poison the parity loop.
-  opts.max_queue_graphs = std::max(64, 8 * config.clients);
-  EmbeddingEngine engine(session, opts);
+  EmbeddingEngine engine(session, EngineOptions(config));
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> completed{0};
@@ -164,16 +200,18 @@ RunResult RunClosedLoop(const InferenceSession& session,
   result.mismatched = mismatched.load();
   result.seconds = seconds;
   result.throughput_rps = static_cast<double>(result.completed) / seconds;
-  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
-  if (const obs::HistogramData* lat = snap.histogram("serve/latency_us")) {
-    result.latency_us = obs::SummarizePercentiles(*lat);
-  }
-  const uint64_t batches = snap.counter("serve/batches");
-  const uint64_t batched_graphs = snap.counter("serve/graphs");
-  result.mean_batch_graphs =
-      batches > 0 ? static_cast<double>(batched_graphs) / batches : 0.0;
-  result.steals = snap.counter("serve/steals");
+  ReadEngineMetrics(&result);
   return result;
+}
+
+RunResult RunReps(const InferenceSession& session,
+                  const std::vector<Graph>& graphs,
+                  const std::vector<Matrix>& refs, const RunConfig& config) {
+  std::vector<RunResult> reps;
+  for (int rep = 0; rep < kReps; ++rep) {
+    reps.push_back(RunClosedLoop(session, graphs, refs, config));
+  }
+  return SummarizeReps(std::move(reps));
 }
 
 // >= 100 RCU snapshot swaps under 4-client closed-loop load: every
@@ -181,7 +219,7 @@ RunResult RunClosedLoop(const InferenceSession& session,
 // exact parameter state its version tag names, and admission must
 // never reject (the queue bound is sized to make rejects impossible,
 // so any drop is an engine bug).
-HotSwapResult RunHotSwap(const std::vector<Graph>& graphs) {
+HotSwapResult RunHotSwap(const std::vector<Graph>& graphs, int num_workers) {
   constexpr int kStates = 4;
   constexpr int kSwaps = 120;
   std::vector<std::shared_ptr<const InferenceSession>> sessions;
@@ -204,15 +242,14 @@ HotSwapResult RunHotSwap(const std::vector<Graph>& graphs) {
   ModelRegistry registry;
   registry.Publish("live", sessions[0]);  // version v = state (v - 1) % kStates
   ServeOptions opts;
-  opts.num_workers = kNumWorkers;
-  opts.num_shards = 8;
+  opts.num_workers = num_workers;
   opts.max_batch_graphs = 8;
   opts.max_wait_micros = 0.0;
   opts.max_queue_graphs = 1 << 20;  // must never trip: zero drops required
   EmbeddingEngine engine(registry, "live", opts);
 
   HotSwapResult result;
-  result.num_shards = engine.num_shards();
+  result.num_workers = num_workers;
   std::atomic<bool> swapping_done{false};
   std::thread swapper([&] {
     for (int v = 2; v <= 1 + kSwaps; ++v) {
@@ -276,6 +313,7 @@ struct ShardReplayResult {
 ShardReplayResult RunShardReplay(const InferenceSession& session,
                                  const std::vector<Graph>& corpus,
                                  const RunConfig& config) {
+  ShardReplayResult result;
   const std::string dir = "bench_serve_replay.shards";
   {
     data::ShardWriterOptions wopts;
@@ -302,81 +340,79 @@ ShardReplayResult RunShardReplay(const InferenceSession& session,
     refs.push_back(session.EmbedGraphs(std::vector<Graph>{g}));
   }
 
-  obs::MetricsRegistry::Instance().Reset();
-  ServeOptions opts;
-  opts.num_workers = kNumWorkers;
-  opts.num_shards = config.num_shards;
-  opts.max_batch_graphs = config.max_batch_graphs;
-  opts.max_wait_micros = config.max_wait_micros;
-  opts.max_queue_graphs = std::max(64, 8 * config.clients);
-  EmbeddingEngine engine(session, opts);
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> completed{0};
-  std::atomic<uint64_t> mismatched{0};
-  std::vector<std::thread> clients;
-  clients.reserve(config.clients);
-  Stopwatch wall;
-  for (int c = 0; c < config.clients; ++c) {
-    clients.emplace_back([&, c] {
-      uint64_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const int64_t g = (static_cast<int64_t>(c) +
-                           static_cast<int64_t>(i++) * config.clients) %
-                          dataset.num_graphs();
-        // Decode from the mapped shard on the hot path: this is the
-        // replay — page-cache reads and record validation included.
-        std::vector<Graph> request(1);
-        if (!dataset.ReadGraph(g, &request[0])) {
-          mismatched.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        EmbedResult r = engine.Embed(request);
-        if (r.status == ServeStatus::kOk) {
-          completed.fetch_add(1, std::memory_order_relaxed);
-          if (!BitIdentical(r.embeddings, refs[static_cast<size_t>(g)])) {
-            mismatched.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-  while (wall.ElapsedSeconds() < kRunSeconds) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  stop.store(true);
-  for (std::thread& t : clients) t.join();
-  const double seconds = wall.ElapsedSeconds();
-  engine.Shutdown();
-
-  ShardReplayResult result;
   result.corpus_graphs = dataset.num_graphs();
   result.data_shards = dataset.num_shards();
-  result.run.config = config;
-  result.run.completed = completed.load();
-  result.run.mismatched = mismatched.load();
-  result.run.seconds = seconds;
-  result.run.throughput_rps = static_cast<double>(completed.load()) / seconds;
-  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
-  if (const obs::HistogramData* lat = snap.histogram("serve/latency_us")) {
-    result.run.latency_us = obs::SummarizePercentiles(*lat);
+  std::vector<RunResult> reps;
+  for (int rep = 0; rep < kReps; ++rep) {
+    obs::MetricsRegistry::Instance().Reset();
+    EmbeddingEngine engine(session, EngineOptions(config));
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> completed{0};
+    std::atomic<uint64_t> mismatched{0};
+    std::vector<std::thread> clients;
+    clients.reserve(config.clients);
+    Stopwatch wall;
+    for (int c = 0; c < config.clients; ++c) {
+      clients.emplace_back([&, c] {
+        uint64_t i = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+          const int64_t g = (static_cast<int64_t>(c) +
+                             static_cast<int64_t>(i++) * config.clients) %
+                            dataset.num_graphs();
+          // Decode from the mapped shard on the hot path: this is the
+          // replay — page-cache reads and record validation included.
+          std::vector<Graph> request(1);
+          if (!dataset.ReadGraph(g, &request[0])) {
+            mismatched.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          EmbedResult r = engine.Embed(request);
+          if (r.status == ServeStatus::kOk) {
+            completed.fetch_add(1, std::memory_order_relaxed);
+            if (!BitIdentical(r.embeddings, refs[static_cast<size_t>(g)])) {
+              mismatched.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      });
+    }
+    while (wall.ElapsedSeconds() < kRunSeconds) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    stop.store(true);
+    for (std::thread& t : clients) t.join();
+    const double seconds = wall.ElapsedSeconds();
+    engine.Shutdown();
+
+    RunResult run;
+    run.config = config;
+    run.completed = completed.load();
+    run.mismatched = mismatched.load();
+    run.seconds = seconds;
+    run.throughput_rps = static_cast<double>(run.completed) / seconds;
+    ReadEngineMetrics(&run);
+    reps.push_back(std::move(run));
   }
-  const uint64_t batches = snap.counter("serve/batches");
-  const uint64_t batched_graphs = snap.counter("serve/graphs");
-  result.run.mean_batch_graphs =
-      batches > 0 ? static_cast<double>(batched_graphs) / batches : 0.0;
-  result.run.steals = snap.counter("serve/steals");
+  result.run = SummarizeReps(std::move(reps));
   return result;
 }
 
 void PrintRow(const RunResult& r) {
   std::printf(
-      "%-22s %7d %6d %9d %9.0f %10llu %10.0f %8.0f %8.0f %8.0f %7.2f %7llu\n",
-      r.config.label.c_str(), r.config.clients, r.config.num_shards,
+      "%-22s %7d %7d %9d %9.0f %10llu %10.0f %10.0f %10.0f %8.0f %8.0f "
+      "%8.0f %7.2f\n",
+      r.config.label.c_str(), r.config.clients, r.config.num_workers,
       r.config.max_batch_graphs, r.config.max_wait_micros,
       static_cast<unsigned long long>(r.completed), r.throughput_rps,
-      r.latency_us.p50, r.latency_us.p95, r.latency_us.p99,
-      r.mean_batch_graphs, static_cast<unsigned long long>(r.steals));
+      r.throughput_q1_rps, r.throughput_q3_rps, r.latency_us.p50,
+      r.latency_us.p95, r.latency_us.p99, r.mean_batch_graphs);
+}
+
+void PrintHeader() {
+  std::printf("%-22s %7s %7s %9s %9s %10s %10s %10s %10s %8s %8s %8s %7s\n",
+              "label", "clients", "workers", "max_batch", "wait_us",
+              "completed", "rps", "rps_q1", "rps_q3", "p50us", "p95us",
+              "p99us", "batch");
 }
 
 void WriteRunArray(std::FILE* json, const std::vector<RunResult>& runs) {
@@ -384,33 +420,48 @@ void WriteRunArray(std::FILE* json, const std::vector<RunResult>& runs) {
     const RunResult& r = runs[i];
     std::fprintf(
         json,
-        "    {\"label\": %s, \"clients\": %d, \"num_shards\": %d, "
+        "    {\"label\": %s, \"clients\": %d, \"workers\": %d, "
         "\"max_batch_graphs\": %d, \"max_wait_micros\": %.0f, "
-        "\"completed\": %llu, \"mismatched\": %llu, \"steals\": %llu, "
-        "\"seconds\": %.6f, \"throughput_rps\": %.2f, \"latency_us\": "
+        "\"completed\": %llu, \"mismatched\": %llu, \"seconds\": %.6f, "
+        "\"throughput_rps\": %.2f, \"throughput_q1_rps\": %.2f, "
+        "\"throughput_q3_rps\": %.2f, \"latency_us\": "
         "{\"p50\": %.2f, \"p95\": %.2f, \"p99\": %.2f}, "
         "\"mean_batch_graphs\": %.4f}%s\n",
         JsonString(r.config.label).c_str(), r.config.clients,
-        r.config.num_shards, r.config.max_batch_graphs,
+        r.config.num_workers, r.config.max_batch_graphs,
         r.config.max_wait_micros, static_cast<unsigned long long>(r.completed),
-        static_cast<unsigned long long>(r.mismatched),
-        static_cast<unsigned long long>(r.steals), r.seconds,
-        r.throughput_rps, r.latency_us.p50, r.latency_us.p95, r.latency_us.p99,
+        static_cast<unsigned long long>(r.mismatched), r.seconds,
+        r.throughput_rps, r.throughput_q1_rps, r.throughput_q3_rps,
+        r.latency_us.p50, r.latency_us.p95, r.latency_us.p99,
         r.mean_batch_graphs, i + 1 < runs.size() ? "," : "");
   }
 }
 
-const RunResult* FindRun(const std::vector<RunResult>& runs,
-                         const std::string& label) {
-  for (const RunResult& r : runs) {
-    if (r.config.label == label) return &r;
+// Highest-median-throughput grid cell for each client count, in
+// ascending client order.
+std::vector<RunResult> BestPerClientCount(const std::vector<RunResult>& grid) {
+  std::vector<RunResult> best;
+  for (const RunResult& r : grid) {
+    auto it = std::find_if(best.begin(), best.end(), [&](const RunResult& b) {
+      return b.config.clients == r.config.clients;
+    });
+    if (it == best.end()) {
+      best.push_back(r);
+    } else if (r.throughput_rps > it->throughput_rps) {
+      *it = r;
+    }
   }
-  return nullptr;
+  std::sort(best.begin(), best.end(),
+            [](const RunResult& a, const RunResult& b) {
+              return a.config.clients < b.config.clients;
+            });
+  return best;
 }
 
 void WriteJson(const char* path, const EncoderConfig& model_config,
                const InferenceSession& session,
                const std::vector<RunResult>& runs,
+               const std::vector<RunResult>& grid,
                const std::vector<RunResult>& slo_runs,
                const HotSwapResult& hot_swap,
                const ShardReplayResult& replay, double speedup_at_8) {
@@ -419,40 +470,24 @@ void WriteJson(const char* path, const EncoderConfig& model_config,
     std::fprintf(stderr, "cannot open %s for writing\n", path);
     return;
   }
-  const RunResult* single_queue = FindRun(runs, "batched_c8");
-  const RunResult* sharded = FindRun(runs, "sharded_c8");
   std::fprintf(json,
                "{\n  \"bench\": \"serve\",\n"
                "  \"run_seconds\": %.3f,\n"
                "  \"reps\": %d,\n"
                "  \"hardware_threads\": %u,\n"
-               "  \"engine\": {\"num_workers\": %d},\n"
                "  \"model\": {\"name\": \"default\", \"version\": 1, "
                "\"encoder\": \"gin\", \"num_layers\": %d, \"hidden_dim\": %d, "
                "\"out_dim\": %d, \"num_scalar_parameters\": %zu},\n"
                "  \"speedup_at_8_clients\": %.4f,\n",
                kRunSeconds, kReps, std::thread::hardware_concurrency(),
-               kNumWorkers, model_config.num_layers, model_config.hidden_dim,
+               model_config.num_layers, model_config.hidden_dim,
                model_config.out_dim, session.NumScalarParameters(),
                speedup_at_8);
-  if (single_queue != nullptr && sharded != nullptr) {
-    std::fprintf(
-        json,
-        "  \"sharded_vs_single_queue\": {\"clients\": 8, "
-        "\"single_queue_rps\": %.2f, \"sharded_rps\": %.2f, "
-        "\"speedup\": %.4f, \"single_queue_p99_us\": %.2f, "
-        "\"sharded_p99_us\": %.2f},\n",
-        single_queue->throughput_rps, sharded->throughput_rps,
-        single_queue->throughput_rps > 0.0
-            ? sharded->throughput_rps / single_queue->throughput_rps
-            : 0.0,
-        single_queue->latency_us.p99, sharded->latency_us.p99);
-  }
   std::fprintf(json,
-               "  \"hot_swap\": {\"num_shards\": %d, "
+               "  \"hot_swap\": {\"num_workers\": %d, "
                "\"versions_published\": %llu, \"completed\": %llu, "
                "\"dropped\": %llu, \"mismatched\": %llu},\n",
-               hot_swap.num_shards,
+               hot_swap.num_workers,
                static_cast<unsigned long long>(hot_swap.versions_published),
                static_cast<unsigned long long>(hot_swap.completed),
                static_cast<unsigned long long>(hot_swap.dropped),
@@ -460,19 +495,25 @@ void WriteJson(const char* path, const EncoderConfig& model_config,
   std::fprintf(
       json,
       "  \"shard_replay\": {\"corpus_graphs\": %lld, \"data_shards\": %d, "
-      "\"clients\": %d, \"num_shards\": %d, \"completed\": %llu, "
+      "\"clients\": %d, \"workers\": %d, \"completed\": %llu, "
       "\"mismatched\": %llu, \"throughput_rps\": %.2f, "
+      "\"throughput_q1_rps\": %.2f, \"throughput_q3_rps\": %.2f, "
       "\"latency_us\": {\"p50\": %.2f, \"p95\": %.2f, \"p99\": %.2f}, "
       "\"mean_batch_graphs\": %.4f},\n",
       static_cast<long long>(replay.corpus_graphs), replay.data_shards,
-      replay.run.config.clients, replay.run.config.num_shards,
+      replay.run.config.clients, replay.run.config.num_workers,
       static_cast<unsigned long long>(replay.run.completed),
       static_cast<unsigned long long>(replay.run.mismatched),
-      replay.run.throughput_rps, replay.run.latency_us.p50,
+      replay.run.throughput_rps, replay.run.throughput_q1_rps,
+      replay.run.throughput_q3_rps, replay.run.latency_us.p50,
       replay.run.latency_us.p95, replay.run.latency_us.p99,
       replay.run.mean_batch_graphs);
   std::fprintf(json, "  \"runs\": [\n");
   WriteRunArray(json, runs);
+  std::fprintf(json, "  ],\n  \"worker_grid\": [\n");
+  WriteRunArray(json, grid);
+  std::fprintf(json, "  ],\n  \"grid_best\": [\n");
+  WriteRunArray(json, BestPerClientCount(grid));
   std::fprintf(json, "  ],\n  \"slo_sweep\": [\n");
   WriteRunArray(json, slo_runs);
   std::fprintf(json, "  ]\n}\n");
@@ -511,22 +552,15 @@ int main() {
     refs.push_back(session->EmbedGraphs(std::vector<Graph>{g}));
   }
 
+  // Batching study, one worker (the engine default).
   std::vector<RunConfig> sweep;
   // Baseline: no coalescing — every request is its own batch.
   sweep.push_back({"single_request", 8, 1, 0.0, 1});
   // Client scaling with launch-when-free batching (deadline 0: the
-  // worker takes whatever has queued the moment it goes idle), on the
-  // legacy single queue.
+  // worker takes whatever has queued the moment it goes idle).
   for (int clients : {1, 2, 4, 8}) {
     sweep.push_back(
         {"batched_c" + std::to_string(clients), clients, 16, 0.0, 1});
-  }
-  // Sharded ingress: same policy, submissions spread over 8 shards
-  // (cross-shard top-up keeps batch sizes identical; what changes is
-  // submit-side lock contention).
-  for (int clients : {4, 8}) {
-    sweep.push_back(
-        {"sharded_c" + std::to_string(clients), clients, 16, 0.0, 8});
   }
   // Deadline sweep at 8 clients: with every client blocked in the
   // closed loop the queue never reaches max_batch_graphs, so a nonzero
@@ -537,42 +571,43 @@ int main() {
                      16, wait, 1});
   }
 
-  std::printf("%-22s %7s %6s %9s %9s %10s %10s %8s %8s %8s %7s %7s\n", "label",
-              "clients", "shards", "max_batch", "wait_us", "completed", "rps",
-              "p50us", "p95us", "p99us", "batch", "steals");
+  PrintHeader();
   std::vector<RunResult> runs;
   uint64_t mismatched_total = 0;
   for (const RunConfig& config : sweep) {
-    // Best-of-kReps: closed-loop throughput on a single shared core is
-    // at the mercy of the scheduler, so keep the least-disturbed rep.
-    RunResult best;
-    for (int rep = 0; rep < kReps; ++rep) {
-      RunResult r = RunClosedLoop(*session, graphs, refs, config);
-      mismatched_total += r.mismatched;
-      if (rep == 0 || r.throughput_rps > best.throughput_rps) {
-        best = std::move(r);
-      }
-    }
-    runs.push_back(std::move(best));
+    runs.push_back(RunReps(*session, graphs, refs, config));
+    mismatched_total += runs.back().mismatched;
     PrintRow(runs.back());
   }
 
+  // Worker grid: the same batching policy at 1, 2 and 4 workers on the
+  // one ingress queue, launch-when-free and with a 100us deadline.
+  std::vector<RunResult> grid;
+  for (double wait : {0.0, 100.0}) {
+    for (int workers : {1, 2, 4}) {
+      for (int clients : {1, 4, 8, 16}) {
+        const RunConfig config{"grid_w" + std::to_string(workers) + "_c" +
+                                   std::to_string(clients) + "_d" +
+                                   std::to_string(static_cast<int>(wait)),
+                               clients, 16, wait, workers};
+        grid.push_back(RunReps(*session, graphs, refs, config));
+        mismatched_total += grid.back().mismatched;
+        PrintRow(grid.back());
+      }
+    }
+  }
+  std::printf("best grid cell per client count (median rps):\n");
+  for (const RunResult& r : BestPerClientCount(grid)) PrintRow(r);
+
   // Latency-SLO sweep: p99 vs offered load at a fixed tight batching
-  // policy (8-graph batches, 100us deadline, 8 shards). The closed
+  // policy (8-graph batches, 100us deadline, one worker). The closed
   // loop makes client count the offered-load axis.
   std::vector<RunResult> slo_runs;
   for (int clients : {1, 2, 4, 8, 16}) {
     const RunConfig slo{"slo_c" + std::to_string(clients), clients, 8, 100.0,
-                        8};
-    RunResult best;
-    for (int rep = 0; rep < kReps; ++rep) {
-      RunResult r = RunClosedLoop(*session, graphs, refs, slo);
-      mismatched_total += r.mismatched;
-      if (rep == 0 || r.throughput_rps > best.throughput_rps) {
-        best = std::move(r);
-      }
-    }
-    slo_runs.push_back(std::move(best));
+                        1};
+    slo_runs.push_back(RunReps(*session, graphs, refs, slo));
+    mismatched_total += slo_runs.back().mismatched;
     PrintRow(slo_runs.back());
   }
 
@@ -582,30 +617,24 @@ int main() {
   replay_profile.num_graphs = 512;
   const std::vector<Graph> replay_corpus =
       GenerateTuDataset(replay_profile, 11);
-  const RunConfig replay_config{"shard_replay_c8", 8, 16, 0.0, 8};
-  ShardReplayResult replay;
-  for (int rep = 0; rep < kReps; ++rep) {
-    ShardReplayResult r = RunShardReplay(*session, replay_corpus,
-                                         replay_config);
-    mismatched_total += r.run.mismatched;
-    if (rep == 0 || r.run.throughput_rps > replay.run.throughput_rps) {
-      replay = std::move(r);
-    }
-  }
+  const RunConfig replay_config{"shard_replay_c8", 8, 16, 0.0, 1};
+  const ShardReplayResult replay =
+      RunShardReplay(*session, replay_corpus, replay_config);
+  mismatched_total += replay.run.mismatched;
   PrintRow(replay.run);
   std::printf("shard replay: %lld graphs over %d shard files\n",
               static_cast<long long>(replay.corpus_graphs),
               replay.data_shards);
 
-  const HotSwapResult hot_swap = RunHotSwap(graphs);
+  const HotSwapResult hot_swap = RunHotSwap(graphs, /*num_workers=*/1);
   std::printf(
       "\nhot-swap: %llu versions published under load, %llu completed, "
-      "%llu dropped, %llu mismatched (shards=%d)\n",
+      "%llu dropped, %llu mismatched (workers=%d)\n",
       static_cast<unsigned long long>(hot_swap.versions_published),
       static_cast<unsigned long long>(hot_swap.completed),
       static_cast<unsigned long long>(hot_swap.dropped),
       static_cast<unsigned long long>(hot_swap.mismatched),
-      hot_swap.num_shards);
+      hot_swap.num_workers);
 
   double single_rps = 0.0, batched_rps = 0.0;
   for (const RunResult& r : runs) {
@@ -614,16 +643,6 @@ int main() {
   }
   const double speedup = single_rps > 0.0 ? batched_rps / single_rps : 0.0;
   std::printf("batched vs single-request @ 8 clients: %.2fx\n", speedup);
-  if (const RunResult* sq = FindRun(runs, "batched_c8")) {
-    if (const RunResult* sh = FindRun(runs, "sharded_c8")) {
-      std::printf(
-          "sharded(8) vs single queue @ 8 clients: %.2fx rps, "
-          "p99 %.0fus -> %.0fus\n",
-          sq->throughput_rps > 0.0 ? sh->throughput_rps / sq->throughput_rps
-                                   : 0.0,
-          sq->latency_us.p99, sh->latency_us.p99);
-    }
-  }
   if (mismatched_total > 0) {
     std::fprintf(stderr, "FAIL: %llu served embeddings mismatched refs\n",
                  static_cast<unsigned long long>(mismatched_total));
@@ -637,7 +656,7 @@ int main() {
     return 1;
   }
 
-  WriteJson("BENCH_serve.json", config, *session, runs, slo_runs, hot_swap,
-            replay, speedup);
+  WriteJson("BENCH_serve.json", config, *session, runs, grid, slo_runs,
+            hot_swap, replay, speedup);
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -12,41 +11,6 @@
 namespace gradgcl::retrieval {
 
 namespace {
-
-// Process-wide histogram edges (same constraint as serve: re-registering
-// a metric name requires identical edges).
-const std::vector<double>& LatencyEdgesUs() {
-  static const std::vector<double>* edges = new std::vector<double>{
-      10.0,     20.0,     50.0,     100.0,    200.0,    500.0,
-      1000.0,   2000.0,   5000.0,   10000.0,  20000.0,  50000.0,
-      100000.0, 200000.0, 500000.0, 1000000.0};
-  return *edges;
-}
-
-const std::vector<double>& BatchSizeEdges() {
-  static const std::vector<double>* edges = new std::vector<double>{
-      1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0};
-  return *edges;
-}
-
-std::chrono::steady_clock::duration MicrosDuration(double micros) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::micro>(micros));
-}
-
-// Shard-count resolution mirrors serve (shared ingress idiom, shared
-// env knob).
-int ResolveNumShards(const RetrievalOptions& options) {
-  if (options.num_shards > 0) return options.num_shards;
-  if (const char* env = std::getenv("GRADGCL_SERVE_SHARDS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 1024) {
-      return static_cast<int>(v);
-    }
-  }
-  return std::max(1, options.num_workers);
-}
 
 int ResolveNprobe(const RetrievalOptions& options, const IvfIndex* ivf) {
   if (ivf == nullptr) return 0;
@@ -89,44 +53,17 @@ RetrievalEngine::RetrievalEngine(const FlatIndex* flat, const IvfIndex* ivf,
       flat_(flat),
       ivf_(ivf),
       nprobe_(ResolveNprobe(options, ivf)),
-      wait_dur_(MicrosDuration(options.max_wait_micros)),
-      steal_poll_(MicrosDuration(
-          std::clamp(options.max_wait_micros, 200.0, 2000.0))),
-      requests_total_(
-          obs::MetricsRegistry::Instance().GetCounter("retrieval/requests")),
-      rejected_total_(
-          obs::MetricsRegistry::Instance().GetCounter("retrieval/rejected")),
-      batches_total_(
-          obs::MetricsRegistry::Instance().GetCounter("retrieval/batches")),
-      queries_total_(
-          obs::MetricsRegistry::Instance().GetCounter("retrieval/queries")),
-      steals_total_(
-          obs::MetricsRegistry::Instance().GetCounter("retrieval/steals")),
-      latency_us_(obs::MetricsRegistry::Instance().GetHistogram(
-          "retrieval/latency_us", LatencyEdgesUs())),
-      batch_queries_(obs::MetricsRegistry::Instance().GetHistogram(
-          "retrieval/batch_queries", BatchSizeEdges())) {
-  GRADGCL_CHECK(options_.num_workers >= 0);
-  GRADGCL_CHECK(options_.num_shards >= 0);
-  GRADGCL_CHECK(options_.max_batch_queries >= 1);
-  GRADGCL_CHECK(options_.max_queue_queries >= 1);
-  GRADGCL_CHECK(options_.max_wait_micros >= 0.0);
+      queue_("retrieval", "queries",
+             {.num_workers = options.num_workers,
+              .max_batch = options.max_batch_queries,
+              .max_wait_micros = options.max_wait_micros,
+              .max_queue = options.max_queue_queries,
+              .cancel_pending_on_shutdown =
+                  options.cancel_pending_on_shutdown},
+             [this](const std::vector<BatchQueue::Request*>& batch) {
+               ExecuteBatch(batch);
+             }) {
   GRADGCL_CHECK((flat_ != nullptr) != (ivf_ != nullptr));
-  const int num_shards = ResolveNumShards(options_);
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->capacity = options_.max_queue_queries / num_shards +
-                      (i < options_.max_queue_queries % num_shards ? 1 : 0);
-    shard->depth_gauge = obs::MetricsRegistry::Instance().GetGauge(
-        "retrieval/queue_depth/shard" + std::to_string(i));
-    shard->depth_gauge.Set(0.0);
-    shards_.push_back(std::move(shard));
-  }
-  workers_.reserve(options_.num_workers);
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i % this->num_shards()); });
-  }
 }
 
 RetrievalEngine::~RetrievalEngine() { Shutdown(); }
@@ -139,221 +76,39 @@ RetrievalResult RetrievalEngine::Search(const Matrix& queries, int k) {
   GRADGCL_CHECK_MSG(queries.rows() >= 1, "Search needs >= 1 query row");
   GRADGCL_CHECK(queries.cols() == dim() && k >= 1);
   Request req;
+  req.size = queries.rows();
   req.queries = &queries;
   req.k = k;
-  req.arrival = Clock::now();
-  const int n = queries.rows();
-  const int num_shards = this->num_shards();
-  static std::atomic<uint32_t> submitter_seq{0};
-  thread_local uint32_t tls_cursor =
-      submitter_seq.fetch_add(1, std::memory_order_relaxed);
-  const uint32_t start = tls_cursor++;
-  bool queued = false;
-  int queued_shard = -1;
-  for (int s_try = 0; s_try < num_shards && !queued; ++s_try) {
-    const int index = static_cast<int>((start + s_try) % num_shards);
-    Shard& s = *shards_[index];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (stopping_.load(std::memory_order_acquire)) {
-      rejected_total_.Add(1);
-      return RetrievalResult{RetrievalStatus::kShutdown, {}};
-    }
-    if (s.queued_queries + n > s.capacity) continue;  // overflow to next
-    s.queue.push_back(&req);
-    s.queued_queries += n;
-    s.depth.store(s.queued_queries, std::memory_order_relaxed);
-    s.depth_gauge.Set(s.queued_queries);
-    s.work_cv.notify_one();
-    queued = true;
-    queued_shard = index;
-  }
-  if (!queued) {
-    rejected_total_.Add(1);
-    return RetrievalResult{RetrievalStatus::kOverloaded, {}};
-  }
-  // Cross-shard wake protocol: see serve/engine.cc EmbedOn for the
-  // seq_cst case analysis; this is the same code against the same
-  // shard fields.
-  if (options_.num_workers > 0 && queued_shard >= options_.num_workers) {
-    work_epoch_.fetch_add(1, std::memory_order_seq_cst);
-    Shard& wake = *shards_[queued_shard % options_.num_workers];
-    if (wake.parked.load(std::memory_order_seq_cst) > 0 &&
-        !wake.wake_pending.exchange(true, std::memory_order_seq_cst)) {
-      { std::lock_guard<std::mutex> wake_lock(wake.mu); }
-      wake.work_cv.notify_one();
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(req.done_mu);
-    req.done_cv.wait(lock, [&] { return req.done; });
-  }
-  latency_us_.Observe(std::chrono::duration<double, std::micro>(
-                          Clock::now() - req.arrival)
-                          .count());
-  requests_total_.Add(1);
   RetrievalResult out;
-  out.status = req.status;
-  out.neighbors = std::move(req.result);
+  switch (queue_.Submit(&req)) {
+    case BatchQueue::Outcome::kExecuted:
+      out.neighbors = std::move(req.result);
+      break;
+    case BatchQueue::Outcome::kOverloaded:
+      out.status = RetrievalStatus::kOverloaded;
+      break;
+    case BatchQueue::Outcome::kShutdown:
+      out.status = RetrievalStatus::kShutdown;
+      break;
+  }
   return out;
 }
 
-bool RetrievalEngine::LaunchDueLocked(const Shard& s,
-                                      Clock::time_point now) const {
-  if (s.queue.empty()) return false;
-  if (s.queued_queries >= options_.max_batch_queries) return true;
-  if (wait_dur_.count() == 0) return true;  // launch-when-free
-  return now >= s.queue.front()->arrival + wait_dur_;
-}
-
-void RetrievalEngine::WorkerLoop(int home_index) {
-  Shard& home = *shards_[home_index];
-  std::unique_lock<std::mutex> lock(home.mu);
-  for (;;) {
-    const bool stop = stopping_.load(std::memory_order_acquire);
-    if (stop && options_.cancel_pending_on_shutdown) {
-      CancelShardLocked(home);
-      return;
-    }
-    if (!home.queue.empty() && (stop || LaunchDueLocked(home, Clock::now()))) {
-      int queries = 0;
-      std::vector<Request*> batch = PopBatchLocked(home, &queries);
-      lock.unlock();
-      TopUpBatch(&batch, &queries);
-      ExecuteBatch(batch);
-      lock.lock();
-      continue;
-    }
-    if (stop && home.queue.empty()) return;
-    const uint64_t epoch = work_epoch_.load(std::memory_order_acquire);
-    lock.unlock();
-    const bool stole = TryStealBatch(home_index);
-    lock.lock();
-    if (stole) continue;
-    if (stopping_.load(std::memory_order_acquire)) continue;
-    home.wake_pending.store(false, std::memory_order_seq_cst);
-    home.parked.fetch_add(1, std::memory_order_seq_cst);
-    if (work_epoch_.load(std::memory_order_seq_cst) != epoch) {
-      home.parked.fetch_sub(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!home.queue.empty()) {
-      if (LaunchDueLocked(home, Clock::now())) {
-        home.parked.fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-      const auto deadline = home.queue.front()->arrival + wait_dur_;
-      home.work_cv.wait_until(lock,
-                              std::min(deadline, Clock::now() + steal_poll_));
-    } else {
-      home.work_cv.wait_for(lock, steal_poll_);
-    }
-    home.parked.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-std::vector<RetrievalEngine::Request*> RetrievalEngine::PopBatchLocked(
-    Shard& s, int* queries_in_batch) {
-  std::vector<Request*> batch;
-  int queries = 0;
-  while (!s.queue.empty() && queries < options_.max_batch_queries) {
-    Request* r = s.queue.front();
-    const int n = r->queries->rows();
-    // Whole requests only; an oversized first request runs alone.
-    if (!batch.empty() && queries + n > options_.max_batch_queries) break;
-    s.queue.pop_front();
-    batch.push_back(r);
-    queries += n;
-  }
-  s.queued_queries -= queries;
-  s.depth.store(s.queued_queries, std::memory_order_relaxed);
-  s.depth_gauge.Set(s.queued_queries);
-  *queries_in_batch += queries;
-  return batch;
-}
-
-void RetrievalEngine::TopUpBatch(std::vector<Request*>* batch,
-                                 int* queries_in_batch) {
-  if (batch->empty() || num_shards() == 1) return;
-  for (int i = 0; i < num_shards(); ++i) {
-    if (*queries_in_batch >= options_.max_batch_queries) return;
-    Shard& s = *shards_[i];
-    if (s.depth.load(std::memory_order_relaxed) == 0) continue;
-    std::lock_guard<std::mutex> lock(s.mu);
-    int taken = 0;
-    while (!s.queue.empty() &&
-           *queries_in_batch < options_.max_batch_queries) {
-      Request* r = s.queue.front();
-      const int n = r->queries->rows();
-      if (*queries_in_batch + n > options_.max_batch_queries) break;
-      s.queue.pop_front();
-      batch->push_back(r);
-      *queries_in_batch += n;
-      taken += n;
-    }
-    if (taken > 0) {
-      s.queued_queries -= taken;
-      s.depth.store(s.queued_queries, std::memory_order_relaxed);
-      s.depth_gauge.Set(s.queued_queries);
-    }
-  }
-}
-
-bool RetrievalEngine::TryStealBatch(int thief_home) {
-  const auto now = Clock::now();
-  int best = -1;
-  Clock::time_point best_arrival{};
-  for (int i = 0; i < num_shards(); ++i) {
-    Shard& s = *shards_[i];
-    if (s.depth.load(std::memory_order_relaxed) == 0) continue;
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.queue.empty()) continue;
-    if (!stopping_.load(std::memory_order_relaxed) &&
-        !LaunchDueLocked(s, now)) {
-      continue;
-    }
-    const Clock::time_point arrival = s.queue.front()->arrival;
-    if (best < 0 || arrival < best_arrival) {
-      best = i;
-      best_arrival = arrival;
-    }
-  }
-  if (best < 0) return false;
-  int queries = 0;
-  std::vector<Request*> batch;
-  {
-    Shard& s = *shards_[best];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.queue.empty()) return false;
-    batch = PopBatchLocked(s, &queries);
-  }
-  if (best != thief_home) steals_total_.Add(1);
-  TopUpBatch(&batch, &queries);
-  ExecuteBatch(batch);
-  return true;
-}
-
-void RetrievalEngine::SignalDone(Request* r, RetrievalStatus status,
-                                 std::vector<std::vector<Neighbor>> result) {
-  std::lock_guard<std::mutex> lock(r->done_mu);
-  r->result = std::move(result);
-  r->status = status;
-  r->done = true;
-  r->done_cv.notify_one();
-}
-
-void RetrievalEngine::ExecuteBatch(const std::vector<Request*>& batch) {
+void RetrievalEngine::ExecuteBatch(
+    const std::vector<BatchQueue::Request*>& batch) {
   obs::TraceScope span("retrieval/batch");
   // Fan the union's queries out once: a flat work list of (request,
   // row) pairs so ParallelFor amortizes across request boundaries.
   // Each query's scan is serial (index contract), so the fan-out never
   // changes results.
   int total = 0;
-  for (const Request* r : batch) total += r->queries->rows();
+  for (const BatchQueue::Request* r : batch) total += r->size;
   std::vector<std::pair<Request*, int>> work;
   work.reserve(total);
-  for (Request* r : batch) {
-    r->result.resize(r->queries->rows());
-    for (int qi = 0; qi < r->queries->rows(); ++qi) work.emplace_back(r, qi);
+  for (BatchQueue::Request* base : batch) {
+    Request* r = static_cast<Request*>(base);
+    r->result.resize(r->size);
+    for (int qi = 0; qi < r->size; ++qi) work.emplace_back(r, qi);
   }
   const int64_t scan_cost =
       flat_ != nullptr
@@ -375,78 +130,12 @@ void RetrievalEngine::ExecuteBatch(const std::vector<Request*>& batch) {
                                       : ivf_->Search(q, r->k, nprobe_);
                 }
               });
-  batches_total_.Add(1);
-  queries_total_.Add(static_cast<uint64_t>(total));
-  batch_queries_.Observe(static_cast<double>(total));
-  for (Request* r : batch) {
-    SignalDone(r, RetrievalStatus::kOk, std::move(r->result));
-  }
 }
 
-void RetrievalEngine::CancelShardLocked(Shard& s) {
-  while (!s.queue.empty()) {
-    Request* r = s.queue.front();
-    s.queue.pop_front();
-    SignalDone(r, RetrievalStatus::kShutdown, {});
-  }
-  s.queued_queries = 0;
-  s.depth.store(0, std::memory_order_relaxed);
-  s.depth_gauge.Set(0.0);
-}
+void RetrievalEngine::Shutdown() { queue_.Shutdown(); }
 
-void RetrievalEngine::Shutdown() {
-  stopping_.store(true, std::memory_order_release);
-  for (const std::unique_ptr<Shard>& s : shards_) {
-    { std::lock_guard<std::mutex> lock(s->mu); }
-    s->work_cv.notify_all();
-  }
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
-  if (options_.cancel_pending_on_shutdown) {
-    for (const std::unique_ptr<Shard>& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      CancelShardLocked(*s);
-    }
-  } else {
-    while (RunOneBatch()) {
-    }
-  }
-}
+bool RetrievalEngine::RunOneBatch() { return queue_.RunOneBatch(); }
 
-bool RetrievalEngine::RunOneBatch() {
-  int best = -1;
-  Clock::time_point best_arrival{};
-  for (int i = 0; i < num_shards(); ++i) {
-    Shard& s = *shards_[i];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.queue.empty()) continue;
-    const Clock::time_point arrival = s.queue.front()->arrival;
-    if (best < 0 || arrival < best_arrival) {
-      best = i;
-      best_arrival = arrival;
-    }
-  }
-  if (best < 0) return false;
-  int queries = 0;
-  std::vector<Request*> batch;
-  {
-    Shard& s = *shards_[best];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.queue.empty()) return false;
-    batch = PopBatchLocked(s, &queries);
-  }
-  TopUpBatch(&batch, &queries);
-  ExecuteBatch(batch);
-  return true;
-}
-
-int RetrievalEngine::QueueDepth() const {
-  int depth = 0;
-  for (const std::unique_ptr<Shard>& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    depth += s->queued_queries;
-  }
-  return depth;
-}
+int RetrievalEngine::QueueDepth() const { return queue_.QueueDepth(); }
 
 }  // namespace gradgcl::retrieval

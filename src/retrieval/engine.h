@@ -1,44 +1,32 @@
 // RetrievalEngine: batched nearest-neighbor serving over a retrieval
-// index, behind the same ingress machinery as serve::EmbeddingEngine
-// (DESIGN.md §8): sharded mutex+deque ingress with thread-local
-// round-robin submission and overflow, exact admission-budget
-// partitioning, size-or-deadline batch launch, deadline-respecting
-// work stealing with the parked/wake_pending/work_epoch park protocol,
-// per-request completion condvars, and a drain-or-cancel Shutdown().
-// The machinery is mirrored rather than shared so the TSAN-proven
-// serve engine stays untouched; the differences are the work unit
-// (query rows instead of graphs) and the batch executor (index scans
-// instead of a model forward).
+// index, on the same single-queue ingress as serve::EmbeddingEngine
+// (common/batch_queue.h, DESIGN.md §8) with query rows as the work
+// unit: size-or-deadline batch launch, whole-request batches, the
+// admission bound, per-request completion, and drain-or-cancel
+// Shutdown(). This file adds only what is specific to retrieval: flat
+// or IVF dispatch, the probe width, and the batch executor.
 //
 // A batch is the disjoint union of whole requests; execution fans the
 // union's queries out over the worker's ParallelFor (each query's scan
-// is serial), so results are bit-identical whatever the sharding,
-// coalescing, stealing, worker count, or timing — batching is a
-// throughput knob, never a correctness one (same contract as serve).
+// is serial), so results are bit-identical whatever the coalescing,
+// worker count, or timing — batching is a throughput knob, never a
+// correctness one (same contract as serve).
 //
-// Knobs: GRADGCL_RETRIEVAL_NPROBE overrides the IVF probe width when
-// RetrievalOptions::nprobe == 0; GRADGCL_SERVE_SHARDS resolves the
-// shard count exactly as in serve (shared ingress idiom).
+// Knob: GRADGCL_RETRIEVAL_NPROBE overrides the IVF probe width when
+// RetrievalOptions::nprobe == 0.
 //
 // Observability: retrieval/requests, retrieval/rejected,
-// retrieval/batches, retrieval/queries, retrieval/steals counters,
-// per-shard retrieval/queue_depth/shard<i> gauges, and the
-// retrieval/latency_us + retrieval/batch_queries histograms; each
-// batch runs under a "retrieval/batch" trace span.
+// retrieval/batches and retrieval/queries counters, the
+// retrieval/queue_depth gauge, and the retrieval/latency_us +
+// retrieval/batch_queries histograms; each batch runs under a
+// "retrieval/batch" trace span.
 
 #ifndef GRADGCL_RETRIEVAL_ENGINE_H_
 #define GRADGCL_RETRIEVAL_ENGINE_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "common/batch_queue.h"
 #include "retrieval/flat_index.h"
 #include "retrieval/ivf_index.h"
 
@@ -48,20 +36,17 @@ struct RetrievalOptions {
   // Worker threads executing batches. 0 = callers pump with
   // RunOneBatch() (deterministic tests).
   int num_workers = 1;
-  // Ingress shards. 0 = auto: GRADGCL_SERVE_SHARDS when set, else one
-  // shard per worker.
-  int num_shards = 0;
-  // A batch launches once this many queries are pending in a shard...
+  // A batch launches once this many queries are pending...
   int max_batch_queries = 64;
-  // ...or once the shard's oldest pending request has waited this long.
+  // ...or once the oldest pending request has waited this long.
   double max_wait_micros = 200.0;
-  // Admission bound, partitioned evenly across shards.
+  // Admission bound on queued query rows.
   int max_queue_queries = 4096;
   // IVF probe width. 0 = GRADGCL_RETRIEVAL_NPROBE when set, else the
   // index's own default. Ignored for flat indexes.
   int nprobe = 0;
   // true: pending requests complete with kShutdown at Shutdown();
-  // false (default): the queues are drained first.
+  // false (default): the queue is drained first.
   bool cancel_pending_on_shutdown = false;
 };
 
@@ -97,85 +82,42 @@ class RetrievalEngine {
   // Safe from any thread except the engine's own workers.
   RetrievalResult Search(const Matrix& queries, int k);
 
-  // Stops admission, drains or cancels the shards per the options, and
+  // Stops admission, drains or cancels the queue per the options, and
   // joins the workers. Idempotent.
   void Shutdown();
 
-  // Pops and executes one pending batch inline (oldest-arrival shard
-  // first, with cross-shard top-up). False when every shard is empty.
-  // The manual pump for num_workers == 0.
+  // Pops and executes one pending batch inline. False when the queue is
+  // empty. The manual pump for num_workers == 0.
   bool RunOneBatch();
 
-  // Pending queries across all shards (diagnostics; racy by nature).
+  // Pending query rows (diagnostics; racy by nature).
   int QueueDepth() const;
 
   const RetrievalOptions& options() const { return options_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
   int dim() const;
   // Probe width resolved at construction (IVF only; 0 for flat).
   int resolved_nprobe() const { return nprobe_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   // One in-flight request, owned by the submitting Search() frame.
-  struct Request {
+  struct Request : BatchQueue::Request {
     const Matrix* queries = nullptr;
     int k = 0;
     std::vector<std::vector<Neighbor>> result;
-    RetrievalStatus status = RetrievalStatus::kOk;
-    Clock::time_point arrival;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    bool done = false;
-  };
-
-  // One ingress shard (same protocol as serve::EmbeddingEngine::Shard;
-  // see serve/engine.h for the field-by-field rationale).
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable work_cv;
-    std::deque<Request*> queue;
-    int queued_queries = 0;  // authoritative, guarded by mu
-    int capacity = 0;
-    std::atomic<int> depth{0};
-    std::atomic<int> parked{0};
-    std::atomic<bool> wake_pending{false};
-    obs::Gauge depth_gauge;
   };
 
   RetrievalEngine(const FlatIndex* flat, const IvfIndex* ivf,
                   const RetrievalOptions& options);
 
-  void WorkerLoop(int home_index);
-  bool LaunchDueLocked(const Shard& s, Clock::time_point now) const;
-  std::vector<Request*> PopBatchLocked(Shard& s, int* queries_in_batch);
-  void TopUpBatch(std::vector<Request*>* batch, int* queries_in_batch);
-  bool TryStealBatch(int thief_home);
-  void ExecuteBatch(const std::vector<Request*>& batch);
-  void CancelShardLocked(Shard& s);
-  static void SignalDone(Request* r, RetrievalStatus status,
-                         std::vector<std::vector<Neighbor>> result);
+  void ExecuteBatch(const std::vector<BatchQueue::Request*>& batch);
 
   const RetrievalOptions options_;
   const FlatIndex* flat_;  // exactly one of flat_ / ivf_ is non-null
   const IvfIndex* ivf_;
-  int nprobe_ = 0;
-  const Clock::duration wait_dur_;
-  const Clock::duration steal_poll_;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> work_epoch_{0};
-  std::atomic<bool> stopping_{false};
-  std::vector<std::thread> workers_;
-
-  obs::Counter requests_total_;
-  obs::Counter rejected_total_;
-  obs::Counter batches_total_;
-  obs::Counter queries_total_;
-  obs::Counter steals_total_;
-  obs::Histogram latency_us_;
-  obs::Histogram batch_queries_;
+  const int nprobe_;
+  // Declared last: its workers call ExecuteBatch, so it must start after
+  // and stop before everything above.
+  BatchQueue queue_;
 };
 
 }  // namespace gradgcl::retrieval

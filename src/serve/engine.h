@@ -1,89 +1,46 @@
-// In-process embedding inference engine: sharded-ingress dynamic
-// micro-batching with admission control, deadline-respecting work
-// stealing, and RCU model-version hot-swap.
+// In-process embedding inference engine: dynamic micro-batching with
+// admission control and RCU model-version hot-swap.
 //
 // Many client threads call Embed() concurrently; the engine coalesces
 // pending requests into disjoint-union batches and runs one tape-free
-// forward per batch on a small worker pool. Batching policy
-// (DESIGN.md §8 "Serving model"):
-//  * Sharded ingress: the queue is split into num_shards independent
-//    (mutex + deque) shards. A submitter picks a shard by thread-local
-//    round-robin (no shared submit lock), overflowing to the next
-//    shard when its slice of the admission budget is full — the single
-//    lock-guarded queue this replaces serialized every submission and
-//    every batch launch on one mutex and flat-lined at ~183k rps past
-//    4 clients.
-//  * A batch launches as soon as max_batch_graphs graphs are pending
-//    in a shard, or when that shard's OLDEST pending request has
-//    waited max_wait_micros — the size-or-deadline contract, enforced
-//    per shard. Requests are never split across batches; a request
-//    larger than max_batch_graphs runs as its own batch. When a batch
-//    launches short of max_batch_graphs, the worker tops it up with
-//    pending same-model requests from other shards (oldest shard
-//    first) — launching a request early never violates its deadline,
-//    and cross-shard gathering keeps batch sizes (and therefore
-//    1-core amortization) identical to the single-queue engine.
-//  * Work stealing: each worker is homed on shard (worker_index %
-//    num_shards) and parks on that shard's condition variable. An
-//    idle worker scans the other shards and drains the one whose
-//    oldest request is most overdue — but only once that shard's batch
-//    is actually due (full, deadline expired, or max_wait_micros ==
-//    0), so stealing never launches a filling batch early. Shards
-//    with no home worker (num_shards > num_workers) are served by the
-//    steal path within a bounded poll interval.
-//  * Admission control: max_queue_graphs is partitioned across shards
-//    (shard i gets max_queue_graphs/num_shards, remainder to low
-//    indices). A submission is rejected with kOverloaded only when NO
-//    shard can take it, so total queued graphs never exceed
-//    max_queue_graphs and the num_shards == 1 case preserves the
-//    original single-queue semantics exactly. A request larger than
-//    every per-shard slice is always rejected — size requests within
-//    max_queue_graphs / num_shards.
-//  * Completion is signaled per request (each Request owns its own
-//    mutex + condition variable): finishing a batch wakes exactly the
-//    batch's owners, not every blocked client. The previous engine
-//    notify_all()'d one shared condvar per batch, stampeding all
-//    waiters back onto the global mutex.
-//  * Model hot-swap: the engine serves ModelRegistry snapshots. Each
-//    batch Acquire()s its model's current snapshot once (RCU read) and
-//    runs entirely on that version — publishing a new version mid-
-//    batch never mixes parameters, and every kOk EmbedResult carries
-//    the model name + version that computed it. One engine serves any
-//    number of registered models; a batch only coalesces requests for
-//    the same model.
-//  * Shutdown() stops admission (kShutdown), then either drains the
-//    shards (default) or cancels pending requests with kShutdown
-//    (cancel_pending_on_shutdown), and joins the workers. The
-//    destructor calls Shutdown().
+// forward per batch. Queueing, batching, admission, workers, shutdown
+// and the serve/* request metrics are the shared single-queue ingress
+// in common/batch_queue.h (DESIGN.md §8 "Serving model"), with graphs as
+// the work unit: a batch launches once max_batch_graphs graphs are
+// pending or the oldest request has waited max_wait_micros, requests
+// are never split, and at most max_queue_graphs graphs wait at once.
+// This file adds what is specific to serving:
+//  * Model hot-swap: the engine serves ModelRegistry snapshots. The
+//    model handle is the batch key, so a batch only coalesces requests
+//    for one model. Each batch Acquire()s its model's current snapshot
+//    once (RCU read) and runs entirely on that version — publishing a
+//    new version mid-batch never mixes parameters, and every kOk
+//    EmbedResult carries the model name + version that computed it.
+//    Naming an unpublished model returns kUnknownModel without queueing.
+//  * Execution: union the batch's graphs, run the forward on pooled
+//    buffers, and scatter the rows back to their requests, under a
+//    "serve/batch" trace span.
 //  * Determinism: the forward kernels compute every embedding row
-//    independently of its batch-mates (see serve/session.h), so
-//    results are bit-identical whatever the sharding, coalescing,
-//    stealing, worker count, GRADGCL_NUM_THREADS, or timing —
-//    batching and sharding are pure throughput knobs, never
-//    correctness ones.
+//    independently of its batch-mates (see serve/session.h), so results
+//    are bit-identical whatever the coalescing, worker count,
+//    GRADGCL_NUM_THREADS, or timing — batching is a throughput knob,
+//    never a correctness one.
 //
-// Observability (obs/metrics, obs/trace): every request/batch feeds
-//   serve/requests, serve/rejected, serve/batches, serve/graphs, and
-//   serve/steals counters, per-shard serve/queue_depth/shard<i>
-//   gauges, and the serve/latency_us + serve/batch_graphs histograms
-//   (p50/p95/p99 via SummarizePercentiles); each batch executes under
-//   a "serve/batch" trace span. Serve metrics are always on — they
-//   are the product surface of this subsystem, unlike the trainer's
-//   gated hooks.
+// Observability (obs/metrics, obs/trace): serve/requests,
+// serve/rejected, serve/batches and serve/graphs counters, the
+// serve/queue_depth gauge, and the serve/latency_us + serve/batch_graphs
+// histograms (p50/p95/p99 via SummarizePercentiles). Serve metrics are
+// always on — they are the product surface of this subsystem, unlike
+// the trainer's gated hooks.
 
 #ifndef GRADGCL_SERVE_ENGINE_H_
 #define GRADGCL_SERVE_ENGINE_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/batch_queue.h"
 #include "obs/metrics.h"
 #include "serve/registry.h"
 #include "serve/session.h"
@@ -96,19 +53,15 @@ struct ServeOptions {
   // batches with RunOneBatch() (deterministic tests, single-threaded
   // embedding pipelines).
   int num_workers = 1;
-  // Ingress shards. 0 = auto: GRADGCL_SERVE_SHARDS when set, else one
-  // shard per worker (max(1, num_workers)). 1 reproduces the legacy
-  // single-queue engine exactly.
-  int num_shards = 0;
-  // A batch launches once this many graphs are pending in a shard...
+  // A batch launches once this many graphs are pending...
   int max_batch_graphs = 16;
-  // ...or once the shard's oldest pending request has waited this long.
+  // ...or once the oldest pending request has waited this long.
   double max_wait_micros = 200.0;
-  // Admission bound, partitioned evenly across shards; submissions no
-  // shard can hold are rejected.
+  // Admission bound: submissions that would queue more graphs than
+  // this are rejected with kOverloaded.
   int max_queue_graphs = 1024;
   // true: pending requests complete with kShutdown when Shutdown()
-  // runs; false (default): the queues are drained before workers exit.
+  // runs; false (default): the queue is drained before workers exit.
   bool cancel_pending_on_shutdown = false;
 };
 
@@ -164,66 +117,27 @@ class EmbeddingEngine {
   EmbedResult Embed(const std::string& model,
                     const std::vector<Graph>& graphs);
 
-  // Stops admission, drains or cancels the shards per the options, and
+  // Stops admission, drains or cancels the queue per the options, and
   // joins the workers. Idempotent; later Embed() calls get kShutdown.
   void Shutdown();
 
-  // Pops and executes one pending batch inline on the calling thread
-  // (oldest-arrival shard first, with cross-shard top-up), ignoring
-  // the size/deadline launch policy. Returns false when every shard is
-  // empty. The manual pump for num_workers == 0.
+  // Pops and executes one pending batch inline on the calling thread,
+  // ignoring the size/deadline launch policy. Returns false when the
+  // queue is empty. The manual pump for num_workers == 0.
   bool RunOneBatch();
 
-  // Pending graphs currently queued across all shards (diagnostics;
-  // racy by nature).
+  // Pending graphs currently queued (diagnostics; racy by nature).
   int QueueDepth() const;
 
   const ServeOptions& options() const { return options_; }
-  // Resolved shard count (options().num_shards == 0 resolves at
-  // construction).
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  // One in-flight request, owned by the submitting Embed() frame.
-  // Completion is signaled through the request's own mutex + condvar
-  // so only its owner wakes.
-  struct Request {
+  // One in-flight request, owned by the submitting Embed() frame; its
+  // batch key is the model handle.
+  struct Request : BatchQueue::Request {
     const std::vector<Graph>* graphs = nullptr;
-    ModelHandle* model = nullptr;
     Matrix result;
-    ServeStatus status = ServeStatus::kOk;
     uint64_t version = 0;
-    Clock::time_point arrival;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    bool done = false;
-  };
-
-  // One ingress shard: an independent slice of the queue + admission
-  // budget with its own lock, so submitters and workers on different
-  // shards never contend.
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable work_cv;  // workers homed here
-    std::deque<Request*> queue;
-    int queued_graphs = 0;  // authoritative, guarded by mu
-    int capacity = 0;       // this shard's slice of max_queue_graphs
-    // Lock-free mirror of queued_graphs so steal scans skip empty
-    // shards without taking their locks.
-    std::atomic<int> depth{0};
-    // Home workers currently blocked on work_cv (seq_cst, paired with
-    // work_epoch_): submitters skip the wake lock + notify entirely
-    // while the worker is busy executing — it will rescan before it
-    // parks.
-    std::atomic<int> parked{0};
-    // Collapses concurrent cross-shard wakeups into one notify (one
-    // futex syscall instead of one per submitter): the first submitter
-    // to latch it notifies, the rest skip. The home worker clears it
-    // at every park entry, under its home lock.
-    std::atomic<bool> wake_pending{false};
-    obs::Gauge depth_gauge;
   };
 
   EmbeddingEngine(std::unique_ptr<ModelRegistry> own_registry,
@@ -233,54 +147,19 @@ class EmbeddingEngine {
 
   EmbedResult EmbedOn(ModelHandle* model, const std::vector<Graph>& graphs);
 
-  void WorkerLoop(int home_index);
-  // True when `s` has a batch that should launch now: full, past the
-  // oldest request's deadline, launch-when-free (max_wait_micros ==
-  // 0), or draining at shutdown.
-  bool LaunchDueLocked(const Shard& s, Clock::time_point now) const;
-  // Pops whole same-model requests up to max_batch_graphs (>= 1
-  // request) off the front of `s`.
-  std::vector<Request*> PopBatchLocked(Shard& s, int* graphs_in_batch);
-  // Fills a short batch with pending same-model requests from other
-  // shards, oldest shard front first (early launch, never splits).
-  void TopUpBatch(std::vector<Request*>* batch, int* graphs_in_batch);
-  // Scans for the most-overdue due shard and drains one batch from it.
-  // Returns true when a batch executed. Counts serve/steals when the
-  // drained shard is not `thief_home`.
-  bool TryStealBatch(int thief_home);
   // Unions a popped batch, acquires the model snapshot, runs the
-  // forward, scatters rows back, and signals the requests done.
-  void ExecuteBatch(const std::vector<Request*>& batch);
-  void CancelShardLocked(Shard& s);
-  static void SignalDone(Request* r, ServeStatus status, Matrix result,
-                         uint64_t version);
+  // forward, and scatters the rows back to the requests.
+  void ExecuteBatch(const std::vector<BatchQueue::Request*>& batch);
 
   const ServeOptions options_;
   // Non-null only for the legacy single-session constructor.
   std::unique_ptr<ModelRegistry> own_registry_;
   const ModelRegistry* registry_;  // own_registry_.get() or caller's
   ModelHandle* default_model_;
-  const Clock::duration wait_dur_;   // max_wait_micros as a duration
-  const Clock::duration steal_poll_; // idle-worker rescan interval
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Bumped on every cross-shard wakeup (a submission to a shard with
-  // no home worker). A worker re-checks it between its steal scan and
-  // parking, so a submission landing in that window is never slept
-  // through — without it, work on a workerless shard could wait a full
-  // steal_poll_ interval.
-  std::atomic<uint64_t> work_epoch_{0};
-  std::atomic<bool> stopping_{false};
-  std::vector<std::thread> workers_;
-
-  // Metric handles (registered once at construction).
-  obs::Counter requests_total_;
-  obs::Counter rejected_total_;
-  obs::Counter batches_total_;
-  obs::Counter graphs_total_;
-  obs::Counter steals_total_;
-  obs::Histogram latency_us_;
-  obs::Histogram batch_graphs_;
+  obs::Counter unknown_model_rejected_;  // counts into serve/rejected
+  // Declared last: its workers call ExecuteBatch, so it must start after
+  // and stop before everything above.
+  BatchQueue queue_;
 };
 
 }  // namespace gradgcl::serve

@@ -19,8 +19,9 @@ uint64_t ModelRegistry::Publish(
     // Private constructor: can't use make_unique.
     slot.reset(new ModelHandle(name));
   }
-  const std::shared_ptr<const ModelSnapshot> prev =
-      slot->snapshot_.load(std::memory_order_relaxed);
+  // `prev` also keeps the old snapshot alive past the swap, so it is
+  // never destroyed under the handle's lock.
+  const std::shared_ptr<const ModelSnapshot> prev = slot->Acquire();
   const uint64_t version = prev == nullptr ? 1 : prev->version + 1;
   auto snapshot = std::make_shared<ModelSnapshot>();
   snapshot->session = std::move(session);
@@ -28,7 +29,10 @@ uint64_t ModelRegistry::Publish(
   snapshot->model_name = name;
   // The RCU swap: readers mid-Acquire either get `prev` (and keep it
   // alive through their batch) or the new snapshot — never a torn mix.
-  slot->snapshot_.store(std::move(snapshot), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(slot->mu_);
+    slot->snapshot_ = std::move(snapshot);
+  }
   swaps_total_.Add(1);
   return version;
 }

@@ -5,13 +5,11 @@
 // analysis, the zero-allocation guarantee of the metrics hot path, and
 // the trainer's bit-identical trajectory with observability on vs off.
 
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,28 +31,10 @@
 #include "tensor/pool.h"
 #include "train/trainer.h"
 
-// Binary-wide heap-allocation counter: PoolStats only counts matrix
-// buffers, so the metrics hot path needs its own probe. The replaceable
-// array forms forward here per the standard's default definitions.
-namespace {
-std::atomic<uint64_t> g_heap_new_calls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "heap_counter.h"
 
 namespace gradgcl {
 namespace {
-
-uint64_t HeapNewCalls() {
-  return g_heap_new_calls.load(std::memory_order_relaxed);
-}
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path);

@@ -14,10 +14,9 @@
 //      reproduces the flat int8 scan exactly; top-k tie-breaking is
 //      ascending-index everywhere.
 //   4. RetrievalEngine — batched serving returns exactly what direct
-//      index search returns regardless of workers/sharding/timing;
-//      admission control, manual pump, shutdown-cancel, metrics.
+//      index search returns at 1, 2, and 4 workers; admission control,
+//      manual pump, shutdown-cancel, metrics.
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -25,7 +24,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,30 +41,12 @@
 #include "retrieval/store.h"
 #include "tensor/ops.h"
 
-// Binary-wide heap-allocation counter (the data_test idiom): the
-// corruption tests assert that a rejecting store never allocates
-// memory sized from untrusted header fields.
-namespace {
-std::atomic<uint64_t> g_heap_new_calls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "heap_counter.h"
 
 namespace gradgcl::retrieval {
 namespace {
 
 namespace fs = std::filesystem;
-
-uint64_t HeapNewCalls() {
-  return g_heap_new_calls.load(std::memory_order_relaxed);
-}
 
 class ThreadGuard {
  public:
@@ -550,26 +530,29 @@ TEST(RetrievalEngineTest, BatchedServingMatchesDirectSearch) {
     expected.push_back(index.SearchBatch(client_queries.back(), kK));
   }
 
-  RetrievalOptions options;
-  options.num_workers = 2;
-  options.max_batch_queries = 8;
-  RetrievalEngine engine(index, options);
-  std::vector<RetrievalResult> results(kClients);
-  {
-    std::vector<std::thread> clients;
-    clients.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        results[c] = engine.Search(client_queries[c], kK);
-      });
+  for (int workers : {1, 2, 4}) {
+    RetrievalOptions options;
+    options.num_workers = workers;
+    options.max_batch_queries = 8;
+    RetrievalEngine engine(index, options);
+    std::vector<RetrievalResult> results(kClients);
+    {
+      std::vector<std::thread> clients;
+      clients.reserve(kClients);
+      for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          results[c] = engine.Search(client_queries[c], kK);
+        });
+      }
+      for (std::thread& t : clients) t.join();
     }
-    for (std::thread& t : clients) t.join();
-  }
-  for (int c = 0; c < kClients; ++c) {
-    ASSERT_EQ(results[c].status, RetrievalStatus::kOk) << c;
-    ASSERT_EQ(results[c].neighbors.size(), expected[c].size()) << c;
-    for (size_t q = 0; q < expected[c].size(); ++q) {
-      ExpectSameNeighbors(results[c].neighbors[q], expected[c][q], "engine");
+    for (int c = 0; c < kClients; ++c) {
+      ASSERT_EQ(results[c].status, RetrievalStatus::kOk)
+          << "workers=" << workers << " client=" << c;
+      ASSERT_EQ(results[c].neighbors.size(), expected[c].size()) << c;
+      for (size_t q = 0; q < expected[c].size(); ++q) {
+        ExpectSameNeighbors(results[c].neighbors[q], expected[c][q], "engine");
+      }
     }
   }
 }
@@ -596,12 +579,11 @@ TEST(RetrievalEngineTest, ZeroWorkerManualPumpAndFlatIndex) {
   }
 }
 
-TEST(RetrievalEngineTest, AdmissionControlRejectsWhenEveryShardIsFull) {
+TEST(RetrievalEngineTest, AdmissionControlRejectsWhenFull) {
   const Matrix corpus = ClusteredCorpus(60, 6, 3, 45);
   const FlatIndex index = FlatIndex::BuildExact(corpus);
   RetrievalOptions options;
   options.num_workers = 0;
-  options.num_shards = 1;
   options.max_queue_queries = 2;
   RetrievalEngine engine(index, options);
   Rng rng(46);
@@ -610,7 +592,7 @@ TEST(RetrievalEngineTest, AdmissionControlRejectsWhenEveryShardIsFull) {
   RetrievalResult queued_result;
   std::thread client([&] { queued_result = engine.Search(queued, 2); });
   while (engine.QueueDepth() < 2) std::this_thread::yield();
-  // The single shard's budget (2 queries) is exhausted: reject.
+  // The admission bound (2 queries) is exhausted: reject.
   const RetrievalResult overflow = engine.Search(rejected, 2);
   EXPECT_EQ(overflow.status, RetrievalStatus::kOverloaded);
   EXPECT_TRUE(overflow.neighbors.empty());

@@ -1,18 +1,13 @@
 // Tests for the serving subsystem (src/serve/): bitwise parity of the
 // tape-free InferenceSession forward against the trainer-side encoder
 // (graph + node paths, snapshot load path) across worker counts, SIMD
-// modes, and pooling modes; sharded-ingress correctness (parity across
-// shard counts, per-shard admission splits with the single-shard
-// degenerate case pinned to the legacy semantics, work stealing into
-// workerless shards); ModelRegistry versioning and RCU hot-swap under
-// load (>= 100 snapshot swaps, zero dropped / version-mismatched
-// requests, at 1, 2, and 8 shards); multi-model serving; and
-// multi-producer hammers intended to run under TSAN (ctest -L serve on
-// the build-tsan tree, with GRADGCL_SERVE_SHARDS=2 and =8 legs).
-//
-// Tests that depend on exact batch composition or exact admission
-// arithmetic pin num_shards explicitly so the GRADGCL_SERVE_SHARDS
-// environment legs cannot change their semantics.
+// modes, and pooling modes; engine parity at 1, 2, and 4 workers;
+// admission, shutdown, and oversized requests; ModelRegistry versioning
+// and RCU hot-swap under load (>= 100 snapshot swaps, zero dropped /
+// version-mismatched requests, at 1, 2, and 4 workers); multi-model
+// serving; and multi-producer hammers intended to run under TSAN
+// (ctest -L serve on the build-tsan tree). The ingress itself is
+// tested directly in batch_queue_test.cc.
 
 #include <atomic>
 #include <cstdio>
@@ -28,7 +23,6 @@
 #include "datasets/tu_synthetic.h"
 #include "nn/encoders.h"
 #include "nn/serialize.h"
-#include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/registry.h"
 #include "serve/session.h"
@@ -228,41 +222,34 @@ TEST(ServeEngineTest, ParityAcrossWorkerCounts) {
     refs.push_back(h.session->EmbedGraphs(requests.back()));
   }
   for (int workers : {1, 2, 4}) {
-    for (int shards : {1, 2, 8}) {
-      ServeOptions opts;
-      opts.num_workers = workers;
-      opts.num_shards = shards;
-      opts.max_batch_graphs = 8;
-      opts.max_wait_micros = 500.0;
-      EmbeddingEngine engine(*h.session, opts);
-      ASSERT_EQ(engine.num_shards(), shards);
-      // Concurrent clients so batches actually coalesce (and, with
-      // more shards than workers, so stealing actually happens).
-      std::vector<Matrix> got(requests.size());
-      std::vector<ServeStatus> status(requests.size(), ServeStatus::kOk);
-      std::vector<uint64_t> versions(requests.size(), 0);
-      std::vector<std::thread> clients;
-      clients.reserve(requests.size());
-      for (size_t i = 0; i < requests.size(); ++i) {
-        clients.emplace_back([&, i] {
-          EmbedResult r = engine.Embed(requests[i]);
-          status[i] = r.status;
-          versions[i] = r.model_version;
-          got[i] = std::move(r.embeddings);
-        });
-      }
-      for (std::thread& t : clients) t.join();
-      engine.Shutdown();
-      for (size_t i = 0; i < requests.size(); ++i) {
-        ASSERT_EQ(status[i], ServeStatus::kOk)
-            << "workers=" << workers << " shards=" << shards;
-        EXPECT_TRUE(BitIdentical(got[i], refs[i]))
-            << "workers=" << workers << " shards=" << shards
-            << " request=" << i;
-        // The legacy constructor publishes the session as version 1 of
-        // model "default"; every result must carry that tag.
-        EXPECT_EQ(versions[i], 1u);
-      }
+    ServeOptions opts;
+    opts.num_workers = workers;
+    opts.max_batch_graphs = 8;
+    opts.max_wait_micros = 500.0;
+    EmbeddingEngine engine(*h.session, opts);
+    // Concurrent clients so batches actually coalesce.
+    std::vector<Matrix> got(requests.size());
+    std::vector<ServeStatus> status(requests.size(), ServeStatus::kOk);
+    std::vector<uint64_t> versions(requests.size(), 0);
+    std::vector<std::thread> clients;
+    clients.reserve(requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      clients.emplace_back([&, i] {
+        EmbedResult r = engine.Embed(requests[i]);
+        status[i] = r.status;
+        versions[i] = r.model_version;
+        got[i] = std::move(r.embeddings);
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    engine.Shutdown();
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_EQ(status[i], ServeStatus::kOk) << "workers=" << workers;
+      EXPECT_TRUE(BitIdentical(got[i], refs[i]))
+          << "workers=" << workers << " request=" << i;
+      // The legacy constructor publishes the session as version 1 of
+      // model "default"; every result must carry that tag.
+      EXPECT_EQ(versions[i], 1u);
     }
   }
 }
@@ -271,7 +258,6 @@ TEST(ServeEngineTest, CoalescedBatchMatchesPerRequestResults) {
   EngineHarness h;
   ServeOptions opts;
   opts.num_workers = 0;  // manual pump: batch composition is exact
-  opts.num_shards = 1;   // single queue: one RunOneBatch drains it all
   opts.max_batch_graphs = 64;
   EmbeddingEngine engine(*h.session, opts);
 
@@ -312,7 +298,6 @@ TEST(ServeEngineTest, AdmissionControlRejectsWhenFull) {
   EngineHarness h;
   ServeOptions opts;
   opts.num_workers = 0;  // nothing drains: the queue fills determin.
-  opts.num_shards = 1;   // legacy single-queue admission arithmetic
   opts.max_queue_graphs = 2;
   EmbeddingEngine engine(*h.session, opts);
 
@@ -344,7 +329,6 @@ TEST(ServeEngineTest, ShutdownDrainsPendingRequests) {
   EngineHarness h;
   ServeOptions opts;
   opts.num_workers = 0;
-  opts.num_shards = 1;
   EmbeddingEngine engine(*h.session, opts);
   const std::vector<Graph> req = h.RequestGraphs(0, 3);
   std::thread client([&] {
@@ -363,7 +347,6 @@ TEST(ServeEngineTest, ShutdownCancelsPendingRequestsWhenConfigured) {
   EngineHarness h;
   ServeOptions opts;
   opts.num_workers = 0;
-  opts.num_shards = 1;
   opts.cancel_pending_on_shutdown = true;
   EmbeddingEngine engine(*h.session, opts);
   const std::vector<Graph> req = h.RequestGraphs(0, 2);
@@ -450,109 +433,6 @@ TEST(ServeEngineTest, ConcurrentHammerUnderShutdownAndOverload) {
             kClients * kRequestsPerClient);
 }
 
-// --- Sharded ingress ---------------------------------------------------------
-
-// max_queue_graphs is partitioned across shards; a request no shard's
-// slice can hold is rejected even when the engine is idle, while the
-// single-shard engine keeps the legacy whole-queue bound.
-TEST(ServeEngineTest, ShardedAdmissionSplitsCapacityAcrossShards) {
-  EngineHarness h;
-  {
-    ServeOptions opts;
-    opts.num_workers = 0;
-    opts.num_shards = 2;
-    opts.max_queue_graphs = 4;  // 2 + 2 across the shards
-    EmbeddingEngine engine(*h.session, opts);
-    ASSERT_EQ(engine.num_shards(), 2);
-
-    // 3 graphs > every per-shard slice (2): rejected even though the
-    // engine is idle and 3 <= max_queue_graphs.
-    EXPECT_EQ(engine.Embed(h.RequestGraphs(0, 3)).status,
-              ServeStatus::kOverloaded);
-
-    // Four 1-graph requests fill both slices via the overflow scan...
-    std::vector<std::thread> clients;
-    for (int i = 0; i < 4; ++i) {
-      clients.emplace_back([&, i] {
-        EXPECT_EQ(engine.Embed(h.RequestGraphs(i, 1)).status,
-                  ServeStatus::kOk);
-      });
-    }
-    while (engine.QueueDepth() < 4) std::this_thread::yield();
-    // ...and the fifth finds every shard full: total bound preserved.
-    EXPECT_EQ(engine.Embed(h.RequestGraphs(4, 1)).status,
-              ServeStatus::kOverloaded);
-    while (engine.RunOneBatch()) {
-    }
-    for (std::thread& t : clients) t.join();
-    engine.Shutdown();
-  }
-  {
-    // Single-shard degenerate case: the same 3-graph request is
-    // admitted against the undivided bound — exactly the legacy
-    // semantics.
-    ServeOptions opts;
-    opts.num_workers = 0;
-    opts.num_shards = 1;
-    opts.max_queue_graphs = 4;
-    EmbeddingEngine engine(*h.session, opts);
-    std::thread client([&] {
-      EXPECT_EQ(engine.Embed(h.RequestGraphs(0, 3)).status, ServeStatus::kOk);
-    });
-    while (engine.QueueDepth() < 3) std::this_thread::yield();
-    while (engine.RunOneBatch()) {
-    }
-    client.join();
-    engine.Shutdown();
-  }
-}
-
-// One worker homed on shard 0 of 4: requests landing on shards 1..3
-// complete only through the steal path (max_batch_graphs = 1 disables
-// cross-shard top-up, so every foreign batch is a counted steal).
-TEST(ServeEngineTest, WorkStealingServesWorkerlessShards) {
-  EngineHarness h;
-  obs::MetricsRegistry::Instance().Reset();
-  ServeOptions opts;
-  opts.num_workers = 1;
-  opts.num_shards = 4;
-  opts.max_batch_graphs = 1;
-  opts.max_wait_micros = 0.0;
-  EmbeddingEngine engine(*h.session, opts);
-
-  constexpr int kClients = 8;
-  constexpr int kRequestsPerClient = 2;
-  std::atomic<uint64_t> bad{0};
-  std::vector<std::vector<Matrix>> refs(h.graphs.size());
-  for (size_t i = 0; i < h.graphs.size(); ++i) {
-    refs[i].push_back(
-        h.session->EmbedGraphs(h.RequestGraphs(static_cast<int>(i), 1)));
-  }
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        const int start =
-            (c * kRequestsPerClient + r) % static_cast<int>(h.graphs.size());
-        EmbedResult result = engine.Embed(h.RequestGraphs(start, 1));
-        if (result.status != ServeStatus::kOk ||
-            !BitIdentical(result.embeddings, refs[start][0])) {
-          bad.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  engine.Shutdown();
-  EXPECT_EQ(bad.load(), 0u);
-  // The submitters' round-robin shard picks guarantee requests landed
-  // off the worker's home shard, so at least one batch was stolen.
-  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
-  EXPECT_GE(snap.counter("serve/steals"), 1u);
-  EXPECT_EQ(snap.counter("serve/graphs"),
-            static_cast<uint64_t>(kClients * kRequestsPerClient));
-}
-
 // --- ModelRegistry + hot-swap ------------------------------------------------
 
 std::shared_ptr<const InferenceSession> SessionFromSeed(uint64_t seed) {
@@ -596,7 +476,7 @@ TEST(ModelRegistryTest, PublishFindVersionsAndRcuPinning) {
 // clients hammer the engine, and every single request completes (zero
 // dropped) with embeddings memcmp-equal to the forward of the exact
 // version its result is tagged with (zero version-mismatched) — at 1,
-// 2, and 8 shards.
+// 2, and 4 workers.
 TEST(ServeEngineTest, HotSwapUnderLoadZeroDroppedZeroMismatched) {
   constexpr int kStates = 3;    // distinct parameter sets cycled as versions
   constexpr int kSwaps = 120;   // >= 100 swaps under load
@@ -609,12 +489,11 @@ TEST(ServeEngineTest, HotSwapUnderLoadZeroDroppedZeroMismatched) {
       refs[s].push_back(sessions[s]->EmbedGraphs(std::vector<Graph>{g}));
     }
   }
-  for (int shards : {1, 2, 8}) {
+  for (int workers : {1, 2, 4}) {
     ModelRegistry registry;
     registry.Publish("live", sessions[0]);  // version 1 = state 0
     ServeOptions opts;
-    opts.num_workers = 2;
-    opts.num_shards = shards;
+    opts.num_workers = workers;
     opts.max_batch_graphs = 8;
     opts.max_wait_micros = 0.0;
     opts.max_queue_graphs = 1 << 20;  // must never trip: zero drops required
@@ -664,9 +543,9 @@ TEST(ServeEngineTest, HotSwapUnderLoadZeroDroppedZeroMismatched) {
     engine.Shutdown();
     EXPECT_EQ(registry.Find("live")->CurrentVersion(),
               static_cast<uint64_t>(1 + kSwaps));
-    EXPECT_EQ(dropped.load(), 0u) << "shards=" << shards;
-    EXPECT_EQ(mismatched.load(), 0u) << "shards=" << shards;
-    EXPECT_GT(completed.load(), 0u) << "shards=" << shards;
+    EXPECT_EQ(dropped.load(), 0u) << "workers=" << workers;
+    EXPECT_EQ(mismatched.load(), 0u) << "workers=" << workers;
+    EXPECT_GT(completed.load(), 0u) << "workers=" << workers;
   }
 }
 
@@ -688,7 +567,6 @@ TEST(ServeEngineTest, MultiModelServingKeepsModelsSeparate) {
 
   ServeOptions opts;
   opts.num_workers = 1;
-  opts.num_shards = 2;
   opts.max_batch_graphs = 16;
   opts.max_wait_micros = 100.0;  // encourage cross-request coalescing
   EmbeddingEngine engine(registry, "a", opts);
