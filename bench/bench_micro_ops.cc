@@ -5,7 +5,8 @@
 // pooled allocator against plain heap buffers with per-step allocation
 // counters. After the google-benchmark section, a kernel-scaling grid
 // times the parallel kernels (dense matmul, the batched-graph SpMM
-// aggregation, row softmax) at 1/2/4 pool threads, checks the outputs
+// aggregation and its transpose, the fused n x 32 dense layer, row
+// softmax) at 1/2/4/8 pool threads, checks the outputs
 // are bit-identical across thread counts, and emits BENCH_kernels.json
 // so the perf trajectory is machine-readable across PRs. A second grid
 // times the GEMM-family kernels with the scalar table (GRADGCL_SIMD=0)
@@ -259,6 +260,8 @@ void WriteKernelScalingReport(const char* path) {
       GenerateTuDataset(TuProfileByName("IMDB-B"), /*seed=*/7);
   const GraphBatch batch = MakeBatch(graphs);
   const Matrix features = Matrix::RandomNormal(batch.total_nodes, 32, rng);
+  const Matrix w32 = Matrix::RandomNormal(32, 32, rng);
+  const Matrix b32 = Matrix::RandomNormal(1, 32, rng);
 
   const std::vector<ScalingCase> cases = {
       {"matmul_64", [&] { return MatMul(a64, b64); }},
@@ -266,6 +269,9 @@ void WriteKernelScalingReport(const char* path) {
       {"matmul_256", [&] { return MatMul(a256, b256); }},
       {"matmul_512", [&] { return MatMul(a512, b512); }},
       {"spmm_imdb_batch", [&] { return batch.norm_adj.Multiply(features); }},
+      {"spmm_t_imdb_batch",
+       [&] { return batch.norm_adj.MultiplyTransposed(features); }},
+      {"linear_imdb_batch", [&] { return MatMulBias(features, w32, b32); }},
       {"row_softmax_1024x256", [&] { return RowSoftmax(soft); }},
   };
 

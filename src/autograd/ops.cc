@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "tensor/ops.h"
 
@@ -37,7 +38,7 @@ Variable Sub(const Variable& a, const Variable& b) {
     if (NeedsGrad(out.parents[1])) {
       Matrix neg = out.grad;
       neg *= -1.0;
-      out.parents[1]->AccumulateGrad(neg);
+      out.parents[1]->AccumulateGrad(std::move(neg));
     }
   });
 }
@@ -49,7 +50,7 @@ Variable ScalarMul(const Variable& a, double s) {
     if (NeedsGrad(out.parents[0])) {
       Matrix g = out.grad;
       g *= s;
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -117,11 +118,38 @@ Variable ConstLeftMatMul(const Matrix& c, const Variable& a) {
 }
 
 Variable SparseLeftMatMul(const SparseMatrix& s, const Variable& a) {
-  return Variable::MakeOp(s.Multiply(a.value()), {a}, [s](Node& out) {
-    if (NeedsGrad(out.parents[0])) {
-      out.parents[0]->AccumulateGrad(s.MultiplyTransposed(out.grad));
-    }
+  Matrix y = s.Multiply(a.value());
+  // A constant operand (layer 1's input features) needs no backward,
+  // so nothing of s is kept for it.
+  if (!NeedsGrad(a.node())) return Variable(std::move(y));
+  // The closure owns s^T (the caller's operator may not outlive the
+  // tape); building it costs about what copying s would, and backward
+  // is then the same row-parallel gather as the forward.
+  return Variable::MakeOp(std::move(y), {a}, [st = s.Transposed()](Node& out) {
+    out.parents[0]->AccumulateGrad(st.Multiply(out.grad));
   });
+}
+
+Variable Linear(const Variable& x, const Variable& w, const Variable& b) {
+  return Variable::MakeOp(
+      MatMulBias(x.value(), w.value(), b.value()), {x, w, b},
+      [](Node& out) {
+        // The composition's AddRowBroadcast node sends ColSum(G) to b
+        // and G itself to its MatMul node, which sends G W^T to x and
+        // x^T G to W: the same kernels on the same G, in the same order.
+        const Matrix& g = out.grad;
+        if (NeedsGrad(out.parents[2])) {
+          out.parents[2]->AccumulateGrad(ColSum(g));
+        }
+        if (NeedsGrad(out.parents[0])) {
+          out.parents[0]->AccumulateGrad(
+              gradgcl::MatMulTransB(g, out.parents[1]->value));
+        }
+        if (NeedsGrad(out.parents[1])) {
+          out.parents[1]->AccumulateGrad(
+              MatMulTransA(out.parents[0]->value, g));
+        }
+      });
 }
 
 Variable Transpose(const Variable& a) {
@@ -142,7 +170,7 @@ Variable Relu(const Variable& a) {
       const double* x = out.parents[0]->value.data();
       const int n = g.size();
       for (int i = 0; i < n; ++i) gd[i] = x[i] <= 0.0 ? 0.0 : gd[i];
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -159,7 +187,7 @@ Variable LeakyRelu(const Variable& a, double slope) {
       const double* x = out.parents[0]->value.data();
       const int n = g.size();
       for (int i = 0; i < n; ++i) gd[i] = x[i] <= 0.0 ? gd[i] * slope : gd[i];
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -172,7 +200,7 @@ Variable Tanh(const Variable& a) {
         const double y = out.value.at_flat(i);
         g.at_flat(i) *= 1.0 - y * y;
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -186,7 +214,7 @@ Variable Sigmoid(const Variable& a) {
         const double s = out.value.at_flat(i);
         g.at_flat(i) *= s * (1.0 - s);
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -206,7 +234,7 @@ Variable LogEps(const Variable& a, double eps) {
       Matrix g = out.grad;
       const Matrix& x = out.parents[0]->value;
       for (int i = 0; i < g.size(); ++i) g.at_flat(i) /= x.at_flat(i) + eps;
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -219,7 +247,7 @@ Variable Sqrt(const Variable& a, double eps) {
       for (int i = 0; i < g.size(); ++i) {
         g.at_flat(i) *= 0.5 / out.value.at_flat(i);
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -230,7 +258,7 @@ Variable Square(const Variable& a) {
         if (NeedsGrad(out.parents[0])) {
           Matrix g = gradgcl::Hadamard(out.grad, out.parents[0]->value);
           g *= 2.0;
-          out.parents[0]->AccumulateGrad(g);
+          out.parents[0]->AccumulateGrad(std::move(g));
         }
       });
 }
@@ -244,7 +272,7 @@ Variable Reciprocal(const Variable& a, double eps) {
         const double y = out.value.at_flat(i);
         g.at_flat(i) *= -y * y;
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -265,7 +293,7 @@ Variable ScaleRowsVar(const Variable& a, const Variable& scale) {
             for (int j = 0; j < av.cols(); ++j) dot += g(i, j) * av(i, j);
             gs(i, 0) = dot;
           }
-          out.parents[1]->AccumulateGrad(gs);
+          out.parents[1]->AccumulateGrad(std::move(gs));
         }
       });
 }
@@ -309,7 +337,7 @@ Variable SumRows(const Variable& a) {
       for (int i = 0; i < x.rows(); ++i) {
         for (int j = 0; j < x.cols(); ++j) g(i, j) = out.grad(i, 0);
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -344,7 +372,7 @@ Variable RowNormalize(const Variable& a, double eps) {
         gx(i, j) = (g(i, j) - y(i, j) * dot) * inv;
       }
     }
-    out.parents[0]->AccumulateGrad(gx);
+    out.parents[0]->AccumulateGrad(std::move(gx));
   });
 }
 
@@ -382,13 +410,13 @@ Variable PairwiseSquaredDistances(const Variable& a, const Variable& b) {
           Matrix da = ScaleRows(av, RowSum(g));
           da -= gradgcl::MatMul(g, bv);
           da *= 2.0;
-          out.parents[0]->AccumulateGrad(da);
+          out.parents[0]->AccumulateGrad(std::move(da));
         }
         if (NeedsGrad(out.parents[1])) {
           Matrix db = ScaleRows(bv, ColSum(g).Transposed());
           db -= MatMulTransA(g, av);
           db *= 2.0;
-          out.parents[1]->AccumulateGrad(db);
+          out.parents[1]->AccumulateGrad(std::move(db));
         }
       });
 }
@@ -426,7 +454,7 @@ Variable LogSumExpRows(const Variable& a, const Matrix& mask) {
         }
       }
     }
-    out_node.parents[0]->AccumulateGrad(gx);
+    out_node.parents[0]->AccumulateGrad(std::move(gx));
   });
 }
 
@@ -467,7 +495,7 @@ Variable MaskedRowSoftmax(const Variable& a, const Matrix& mask) {
         if (mask(i, j) != 0.0) gx(i, j) = y(i, j) * (g(i, j) - dot);
       }
     }
-    out.parents[0]->AccumulateGrad(gx);
+    out.parents[0]->AccumulateGrad(std::move(gx));
   });
 }
 
@@ -523,7 +551,7 @@ Variable MaskedExpRowSum(const Variable& s, Variable* exp_out) {
     for (int i = 0; i < x.rows(); ++i) {
       for (int j = 0; j < x.cols(); ++j) g(i, j) = out.grad(i, 0);
     }
-    out.parents[0]->AccumulateGrad(g);
+    out.parents[0]->AccumulateGrad(std::move(g));
   });
 }
 
@@ -552,7 +580,7 @@ Variable ScaleRowsMatMul(const Variable& a, const Variable& scale,
             for (int j = 0; j < av.cols(); ++j) dot += ga(i, j) * av(i, j);
             gs(i, 0) = dot;
           }
-          out.parents[1]->AccumulateGrad(gs);
+          out.parents[1]->AccumulateGrad(std::move(gs));
         }
         if (NeedsGrad(out.parents[2])) {
           // Recomputing diag(s) a costs the same FP ops as the forward
@@ -597,7 +625,7 @@ Variable OffDiagSigmoid(const Variable& a) {
             }
           }
         }
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -640,7 +668,7 @@ Variable LogSumExpOffDiag(const Variable& a) {
         if (j != i) gx(i, j) = g(i, 0) * std::exp(x(i, j) - lse(i, 0));
       }
     }
-    out_node.parents[0]->AccumulateGrad(gx);
+    out_node.parents[0]->AccumulateGrad(std::move(gx));
   });
 }
 
@@ -681,7 +709,7 @@ Variable SliceRows(const Variable& a, int begin, int end) {
         for (int i = begin; i < end; ++i) {
           for (int j = 0; j < x.cols(); ++j) g(i, j) = out.grad(i - begin, j);
         }
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -696,7 +724,7 @@ Variable GatherRows(const Variable& a, const std::vector<int>& indices) {
             g(indices[i], j) += out.grad(static_cast<int>(i), j);
           }
         }
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -709,27 +737,24 @@ Variable SegmentSum(const Variable& a, const std::vector<int>& segments,
                           {a}, [segments](Node& out_node) {
     if (!NeedsGrad(out_node.parents[0])) return;
     const Matrix& x = out_node.parents[0]->value;
-    Matrix g(x.rows(), x.cols());
+    Matrix g = Matrix::Uninitialized(x.rows(), x.cols());
     for (int i = 0; i < x.rows(); ++i) {
       for (int j = 0; j < x.cols(); ++j) g(i, j) = out_node.grad(segments[i], j);
     }
-    out_node.parents[0]->AccumulateGrad(g);
+    out_node.parents[0]->AccumulateGrad(std::move(g));
   });
 }
 
 Variable SegmentMean(const Variable& a, const std::vector<int>& segments,
                      int num_segments) {
-  std::vector<double> counts(num_segments, 0.0);
-  for (int s : segments) {
-    GRADGCL_CHECK(s >= 0 && s < num_segments);
-    counts[s] += 1.0;
-  }
+  std::vector<double> counts;
+  Matrix y = gradgcl::SegmentMean(a.value(), segments, num_segments, &counts);
   return Variable::MakeOp(
-      gradgcl::SegmentMean(a.value(), segments, num_segments), {a},
-      [segments, counts](Node& out_node) {
+      std::move(y), {a},
+      [segments, counts = std::move(counts)](Node& out_node) {
         if (!NeedsGrad(out_node.parents[0])) return;
         const Matrix& x = out_node.parents[0]->value;
-        Matrix g(x.rows(), x.cols());
+        Matrix g = Matrix::Uninitialized(x.rows(), x.cols());
         for (int i = 0; i < x.rows(); ++i) {
           const int s = segments[i];
           const double inv = 1.0 / counts[s];
@@ -737,7 +762,7 @@ Variable SegmentMean(const Variable& a, const std::vector<int>& segments,
             g(i, j) = out_node.grad(s, j) * inv;
           }
         }
-        out_node.parents[0]->AccumulateGrad(g);
+        out_node.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -761,7 +786,7 @@ Variable SoftmaxCrossEntropy(const Variable& logits,
         const int n = g.rows();
         for (int i = 0; i < n; ++i) g(i, labels[i]) -= 1.0;
         g *= out.grad(0, 0) / n;
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -788,7 +813,7 @@ Variable BinaryCrossEntropyWithLogits(const Variable& logits,
           const double s = 1.0 / (1.0 + std::exp(-z.at_flat(i)));
           g.at_flat(i) = (s - targets.at_flat(i)) * scale;
         }
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 

@@ -47,8 +47,18 @@ Variable MatMulTransB(const Variable& a, const Variable& b);
 Variable ConstLeftMatMul(const Matrix& c, const Variable& a);
 
 // s * a for a constant sparse operator s (the batched adjacency);
-// backward applies s^T. Gradient flows only into a.
+// backward applies s^T. Gradient flows only into a; when a needs none
+// (constant input features), the node keeps nothing of s.
 Variable SparseLeftMatMul(const SparseMatrix& s, const Variable& a);
+
+// x * w + b with the 1 x d bias b broadcast over rows: the dense layer
+// as one tape node. Value and gradients of x, w and b are bit-identical
+// to AddRowBroadcast(MatMul(x, w), b) in every SIMD mode and at every
+// thread count (tests/pool_test.cc), with one n x d buffer on the tape
+// instead of two. Backward reads the output gradient directly: ColSum
+// for b, G w^T for x, x^T G for w. Not switched by GRADGCL_FUSED; the
+// composition survives only as the tests' reference.
+Variable Linear(const Variable& x, const Variable& w, const Variable& b);
 
 Variable Transpose(const Variable& a);
 

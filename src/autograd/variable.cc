@@ -9,10 +9,21 @@ namespace internal {
 
 void Node::AccumulateGrad(const Matrix& delta) {
   if (!grad_initialized) {
-    grad = Matrix::Zeros(value.rows(), value.cols());
-    grad_initialized = true;
+    AccumulateGrad(Matrix(delta));
+    return;
   }
   GRADGCL_CHECK(delta.rows() == grad.rows() && delta.cols() == grad.cols());
+  grad += delta;
+}
+
+void Node::AccumulateGrad(Matrix&& delta) {
+  GRADGCL_CHECK(delta.rows() == value.rows() && delta.cols() == value.cols());
+  if (!grad_initialized) {
+    grad = std::move(delta);
+    grad_initialized = true;
+    grad_adopted = true;
+    return;
+  }
   grad += delta;
 }
 
@@ -34,6 +45,13 @@ const Matrix& Variable::grad() const {
   if (!node_->grad_initialized) {
     node_->grad = Matrix::Zeros(node_->value.rows(), node_->value.cols());
     node_->grad_initialized = true;
+  } else if (node_->grad_adopted) {
+    // 0.0 + g maps -0.0 to +0.0 and keeps every other value's bits —
+    // what the first add into a zero-filled buffer would have done.
+    double* g = node_->grad.data();
+    const int n = node_->grad.size();
+    for (int i = 0; i < n; ++i) g[i] = 0.0 + g[i];
+    node_->grad_adopted = false;
   }
   return node_->grad;
 }
@@ -44,6 +62,7 @@ void Variable::set_grad(Matrix grad) {
                 grad.cols() == node_->value.cols());
   node_->grad = std::move(grad);
   node_->grad_initialized = true;
+  node_->grad_adopted = false;
 }
 
 void Variable::set_value(Matrix value) {
@@ -60,6 +79,7 @@ bool Variable::requires_grad() const {
 
 void Variable::ZeroGrad() {
   GRADGCL_CHECK_MSG(defined(), "ZeroGrad on null Variable");
+  node_->grad_adopted = false;
   // In place when possible: parameters call this every step, and a
   // fresh Zeros would heap-allocate per parameter per step.
   if (node_->grad_initialized &&
@@ -131,6 +151,7 @@ void Backward(const Variable& loss) {
   Node* root = loss.node().get();
   root->grad = Matrix(1, 1, 1.0);
   root->grad_initialized = true;
+  root->grad_adopted = false;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* node = *it;
     if (node->backward_fn && node->grad_initialized) {

@@ -31,12 +31,23 @@ struct Node {
   Matrix grad;           // same shape as value once backward touches it
   bool requires_grad = false;
   bool grad_initialized = false;
+  // grad began as an adopted delta rather than 0.0 + delta, so it may
+  // hold -0.0 where 0.0 + Σ deltas holds +0.0 (see AccumulateGrad).
+  bool grad_adopted = false;
   std::vector<std::shared_ptr<Node>> parents;
   // Propagates this->grad into the parents' grads.
   std::function<void(Node&)> backward_fn;
 
-  // Adds `delta` into this node's gradient accumulator.
+  // Adds `delta` into this node's gradient accumulator. The first delta
+  // is adopted — moved in, or copied from an lvalue — instead of added
+  // to a zero-filled buffer; later deltas add in arrival order. The
+  // adopted sum differs from 0.0 + Σ deltas only where a zero's sign
+  // differs, and no backward closure divides by or compares a
+  // gradient, so the sign never reaches a nonzero value; grad() turns
+  // the zeros back to +0.0, which makes every gradient a caller reads
+  // (grad(), the optimizer, the all-reduce) bit-equal to 0.0 + Σ deltas.
   void AccumulateGrad(const Matrix& delta);
+  void AccumulateGrad(Matrix&& delta);
 };
 
 }  // namespace internal
@@ -59,6 +70,8 @@ class Variable {
   int cols() const { return value().cols(); }
 
   // Gradient accumulated by Backward(); zero matrix if untouched.
+  // Zeros read as +0.0, exactly as if every delta had been added to a
+  // zero-filled buffer.
   const Matrix& grad() const;
 
   // Overwrites the accumulated gradient (shape-checked). Used by the
@@ -87,7 +100,8 @@ class Variable {
   // Builds an op node with the given output value, parents, and
   // backward closure. The closure receives the output node (with its
   // grad filled in) and must AccumulateGrad into each parent that
-  // requires gradients.
+  // requires gradients, handing over freshly computed deltas with
+  // std::move so the first one is adopted without a copy.
   static Variable MakeOp(Matrix value,
                          std::vector<Variable> parents,
                          std::function<void(internal::Node&)> backward_fn);

@@ -57,7 +57,7 @@ LinearProbe LinearProbe::Fit(const Matrix& features,
 
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     optimizer.ZeroGrad();
-    Variable logits = ag::AddRowBroadcast(ag::MatMul(x, weight), bias);
+    Variable logits = ag::Linear(x, weight, bias);
     Variable loss = options.kind == ProbeKind::kLogistic
                         ? ag::SoftmaxCrossEntropy(logits, labels)
                         : MulticlassHinge(logits, labels);
@@ -69,7 +69,7 @@ LinearProbe LinearProbe::Fit(const Matrix& features,
 
 Matrix LinearProbe::Scores(const Matrix& features) const {
   GRADGCL_CHECK(features.cols() == weight_.rows());
-  return AddRowBroadcast(MatMul(features, weight_), bias_);
+  return MatMulBias(features, weight_, bias_);
 }
 
 std::vector<int> LinearProbe::Predict(const Matrix& features) const {

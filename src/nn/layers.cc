@@ -11,7 +11,7 @@ Linear::Linear(int in_dim, int out_dim, Rng& rng)
 
 Variable Linear::Forward(const Variable& x) const {
   GRADGCL_CHECK_MSG(x.cols() == in_dim_, "Linear: input width mismatch");
-  return ag::AddRowBroadcast(ag::MatMul(x, weight_), bias_);
+  return ag::Linear(x, weight_, bias_);
 }
 
 Mlp::Mlp(const std::vector<int>& dims, Rng& rng) {

@@ -101,14 +101,13 @@ Matrix InferenceSession::ForwardNodesRaw(const SparseMatrix& propagate,
     const bool last = l == config_.num_layers - 1;
     if (config_.kind == EncoderKind::kGcn) {
       // GcnConv: σ(Â (x W + b)).
-      h = propagate.Multiply(
-          AddRowBroadcast(MatMul(*cur, params_[p]), params_[p + 1]));
+      h = propagate.Multiply(MatMulBias(*cur, params_[p], params_[p + 1]));
       p += 2;
     } else {
       // GinConv: σ(MLP((A + I) x)) with MLP = Linear, ReLU, Linear.
       const Matrix agg = propagate.Multiply(*cur);
-      h = Relu(AddRowBroadcast(MatMul(agg, params_[p]), params_[p + 1]));
-      h = AddRowBroadcast(MatMul(h, params_[p + 2]), params_[p + 3]);
+      h = Relu(MatMulBias(agg, params_[p], params_[p + 1]));
+      h = MatMulBias(h, params_[p + 2], params_[p + 3]);
       p += 4;
     }
     if (!last) h = Relu(h);

@@ -5,8 +5,8 @@
 // frozen straight out of a live encoder) and answers embedding queries
 // with a tape-free forward pass: no autograd Variables, no tape nodes —
 // just the raw tensor kernels the differentiable ops wrap. Because both
-// paths run the *same* kernels in the same order (MatMul,
-// AddRowBroadcast, SparseMatrix::Multiply, Relu, SegmentSum/Mean), the
+// paths run the *same* kernels in the same order (MatMulBias,
+// SparseMatrix::Multiply, Relu, SegmentSum/Mean), the
 // served embeddings are bit-identical to trainer-side
 // EmbedGraphs / ForwardNodes inference (tests/serve_test.cc memcmps
 // them across thread counts, SIMD modes, and pooling modes).

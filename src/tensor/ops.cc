@@ -45,8 +45,12 @@ constexpr int64_t kGemmColGrain = 64;
 // (tensor/pool.cc); tile-offset pointers may not be, so the kernels
 // use unaligned vector loads.
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  GRADGCL_CHECK_MSG(a.cols() == b.rows(), "MatMul shape mismatch");
+namespace {
+
+// MatMul's tiles; with a bias (1 x m), each tile row then gets its
+// slice of the bias through the table's add, exactly as AddRowBroadcast
+// would add it to the stored product.
+Matrix GemmTiles(const Matrix& a, const Matrix& b, const double* bias) {
   const int64_t n = a.rows(), k = a.cols(), m = b.cols();
   Matrix out = Matrix::Uninitialized(a.rows(), b.cols());
   const double* adata = a.data();
@@ -60,8 +64,26 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
                   kt.gemm(adata + r0 * k, k, bdata + c0, m,
                           odata + r0 * m + c0, m, r1 - r0, k, c1 - c0,
                           /*row_scale=*/nullptr, /*post=*/1.0);
+                  if (bias == nullptr) return;
+                  for (int64_t r = r0; r < r1; ++r) {
+                    kt.add(odata + r * m + c0, bias + c0, c1 - c0);
+                  }
                 });
   return out;
+}
+
+}  // namespace
+
+Matrix MatMul(const Matrix& a, const Matrix& b) {
+  GRADGCL_CHECK_MSG(a.cols() == b.rows(), "MatMul shape mismatch");
+  return GemmTiles(a, b, /*bias=*/nullptr);
+}
+
+Matrix MatMulBias(const Matrix& x, const Matrix& w, const Matrix& b) {
+  GRADGCL_CHECK_MSG(x.cols() == w.rows(), "MatMulBias shape mismatch");
+  GRADGCL_CHECK_MSG(b.rows() == 1 && b.cols() == w.cols(),
+                    "MatMulBias bias must be 1 x out");
+  return GemmTiles(x, w, b.data());
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
@@ -493,19 +515,18 @@ Matrix SegmentSum(const Matrix& a, const std::vector<int>& segments,
 }
 
 Matrix SegmentMean(const Matrix& a, const std::vector<int>& segments,
-                   int num_segments) {
-  GRADGCL_CHECK(static_cast<int>(segments.size()) == a.rows());
-  std::vector<double> counts(num_segments, 0.0);
-  for (int s : segments) {
-    GRADGCL_CHECK(s >= 0 && s < num_segments);
-    counts[s] += 1.0;
-  }
+                   int num_segments, std::vector<double>* counts) {
+  std::vector<double> local;
+  std::vector<double>& n = counts != nullptr ? *counts : local;
+  n.assign(num_segments, 0.0);
+  // SegmentSum checks every segment id before n is indexed by it.
   Matrix out = SegmentSum(a, segments, num_segments);
+  for (int s : segments) n[s] += 1.0;
   const int64_t cols = a.cols();
   double* dst = out.data();
   for (int s = 0; s < num_segments; ++s) {
-    if (counts[s] > 0.0) {
-      const double inv = 1.0 / counts[s];
+    if (n[s] > 0.0) {
+      const double inv = 1.0 / n[s];
       double* row = dst + s * cols;
       for (int64_t j = 0; j < cols; ++j) row[j] *= inv;
     }

@@ -18,6 +18,12 @@ namespace gradgcl {
 // Returns a * b. Requires a.cols() == b.rows().
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
+// x * w + b with b (1 x w.cols()) added to every row: a dense layer in
+// one pass. Each output tile gets its bias right after its product, so
+// the bits equal AddRowBroadcast(MatMul(x, w), b) in every SIMD mode
+// and at every thread count, without storing the product separately.
+Matrix MatMulBias(const Matrix& x, const Matrix& w, const Matrix& b);
+
 // Returns a^T * b without materialising the transpose.
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 
@@ -139,8 +145,10 @@ Matrix SegmentSum(const Matrix& a, const std::vector<int>& segments,
                   int num_segments);
 
 // Segment sums scaled by 1/|segment|; empty segments yield zero rows.
+// If `counts` is non-null it receives the per-segment row counts (the
+// backward of ag::SegmentMean needs them).
 Matrix SegmentMean(const Matrix& a, const std::vector<int>& segments,
-                   int num_segments);
+                   int num_segments, std::vector<double>* counts = nullptr);
 
 // Broadcast-multiplies each row i of a by scale(i, 0).
 Matrix ScaleRows(const Matrix& a, const Matrix& scale);

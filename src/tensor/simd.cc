@@ -31,6 +31,7 @@ const KernelTable kScalarTable = {
     detail::SubScalar,
     detail::ScaleScalar,
     detail::HadamardScalar,
+    detail::SpmmScalar,
     detail::AdamScalar,
     detail::DotI8Scalar,
     detail::L2I8Scalar,

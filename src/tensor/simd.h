@@ -26,6 +26,9 @@
 //    - Elementwise kernels and the Adam update use only mul/add/sub/
 //      div/sqrt — one rounding per operation, no FMA — so every table
 //      produces bit-identical elementwise results.
+//    - spmm: one chain per output element from +0.0 over the row's
+//      CSR entries in order, the product rounded before the add (no
+//      FMA), so it too is bit-identical across tables.
 //  * Fused kernels and their unfused compositions share these
 //    primitives, so the fused == unfused bit-equality pinned by
 //    tests/pool_test.cc holds in either SIMD mode.
@@ -35,9 +38,9 @@
 //    no reduction-order caveat at all.
 //
 // SIMD-vs-scalar agreement is therefore bitwise for elementwise kernels,
-// the optimizer update, and the int8 kernels, and tight-ULP (different
-// but fixed reduction orders) for GEMM and the f64 reductions;
-// tests/simd_test.cc pins both.
+// spmm, the optimizer update, and the int8 kernels, and tight-ULP
+// (different but fixed reduction orders) for GEMM and the f64
+// reductions; tests/simd_test.cc and tests/spmm_test.cc pin both.
 
 #ifndef GRADGCL_TENSOR_SIMD_H_
 #define GRADGCL_TENSOR_SIMD_H_
@@ -119,6 +122,16 @@ struct KernelTable {
   void (*sub)(double* y, const double* x, int64_t n);
   void (*scale)(double* x, int64_t n, double s);
   void (*hadamard)(double* out, const double* a, const double* b, int64_t n);
+
+  // Rows [r0, r1) of Y = S X for a CSR operator S (row_offsets,
+  // col_indices, values) and a dense X; X and Y both have `cols`
+  // columns and row stride `cols`. Each output element is
+  // 0.0 + v_0 x_0 + v_1 x_1 + ... over its row's entries in CSR order,
+  // every product rounded before its add (no FMA) — the same bits in
+  // every table.
+  void (*spmm)(const int* row_offsets, const int* col_indices,
+               const double* values, const double* x, double* y, int64_t r0,
+               int64_t r1, int64_t cols);
 
   // One Adam step over n contiguous parameters (w, m, v updated in
   // place); bit-identical across tables (mul/add/div/sqrt only).

@@ -15,6 +15,8 @@
 //    in order (std::fma for dot-like kernels, plain add for sum).
 //  * Elementwise + Adam: mul/add/sub/div/sqrt only — bit-identical to
 //    the scalar table.
+//  * spmm: per output element one mul-then-add chain from +0.0 in CSR
+//    order — bit-identical to the scalar table.
 
 #include "tensor/simd.h"
 
@@ -342,6 +344,71 @@ void HadamardAvx2(double* out, const double* a, const double* b, int64_t n) {
   for (; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+// SpMM over one CSR row, columns [0, 4V) of the strip at x / yrow:
+// V accumulator vectors stay in registers across the row's entries,
+// each lane one chain 0.0 + v_0 x_0 + ... (mul, then add — no FMA),
+// stored once at the end. Bit-identical to detail::SpmmScalar.
+template <int V>
+inline void SpmmRowBlock(const int* col_indices, const double* values, int k0,
+                         int k1, const double* x, int64_t ldx, double* yrow) {
+  __m256d acc[V];
+  for (int q = 0; q < V; ++q) acc[q] = _mm256_setzero_pd();
+  for (int k = k0; k < k1; ++k) {
+    const __m256d v = _mm256_set1_pd(values[k]);
+    const double* xrow = x + static_cast<int64_t>(col_indices[k]) * ldx;
+    for (int q = 0; q < V; ++q) {
+      acc[q] = _mm256_add_pd(acc[q],
+                             _mm256_mul_pd(v, _mm256_loadu_pd(xrow + 4 * q)));
+    }
+  }
+  for (int q = 0; q < V; ++q) _mm256_storeu_pd(yrow + 4 * q, acc[q]);
+}
+
+// The last w < 4 columns of a row, through a lane mask (masked-off
+// lanes load 0.0 and are never stored).
+inline void SpmmRowTail(const int* col_indices, const double* values, int k0,
+                        int k1, const double* x, int64_t ldx, double* yrow,
+                        int64_t w) {
+  const __m256i mask = LaneMask(w);
+  __m256d acc = _mm256_setzero_pd();
+  for (int k = k0; k < k1; ++k) {
+    const __m256d v = _mm256_set1_pd(values[k]);
+    const double* xrow = x + static_cast<int64_t>(col_indices[k]) * ldx;
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(v, _mm256_maskload_pd(xrow, mask)));
+  }
+  _mm256_maskstore_pd(yrow, mask, acc);
+}
+
+void SpmmAvx2(const int* row_offsets, const int* col_indices,
+              const double* values, const double* x, double* y, int64_t r0,
+              int64_t r1, int64_t cols) {
+  for (int64_t r = r0; r < r1; ++r) {
+    const int k0 = row_offsets[r];
+    const int k1 = row_offsets[r + 1];
+    double* yrow = y + r * cols;
+    int64_t j = 0;
+    for (; j + 32 <= cols; j += 32) {
+      SpmmRowBlock<8>(col_indices, values, k0, k1, x + j, cols, yrow + j);
+    }
+    if (j + 16 <= cols) {
+      SpmmRowBlock<4>(col_indices, values, k0, k1, x + j, cols, yrow + j);
+      j += 16;
+    }
+    if (j + 8 <= cols) {
+      SpmmRowBlock<2>(col_indices, values, k0, k1, x + j, cols, yrow + j);
+      j += 8;
+    }
+    if (j + 4 <= cols) {
+      SpmmRowBlock<1>(col_indices, values, k0, k1, x + j, cols, yrow + j);
+      j += 4;
+    }
+    if (j < cols) {
+      SpmmRowTail(col_indices, values, k0, k1, x + j, cols, yrow + j,
+                  cols - j);
+    }
+  }
+}
+
 // Mirrors detail::AdamScalar operation-for-operation (no FMA), so the
 // update is bit-identical to the scalar table.
 void AdamAvx2(double* w, double* m, double* v, const double* g, int64_t n,
@@ -438,9 +505,10 @@ int32_t L2I8Avx2(const int8_t* x, const int8_t* y, int64_t n) {
 }
 
 const KernelTable kAvx2Table = {
-    Isa::kAvx2,   GemmAvx2, GemmTransAAvx2, GemmTransBAvx2, DotAvx2,
-    SumAvx2,      SumSqAvx2, AddAvx2,       SubAvx2,        ScaleAvx2,
-    HadamardAvx2, AdamAvx2, DotI8Avx2,      L2I8Avx2,
+    Isa::kAvx2,   GemmAvx2,  GemmTransAAvx2, GemmTransBAvx2,
+    DotAvx2,      SumAvx2,   SumSqAvx2,      AddAvx2,
+    SubAvx2,      ScaleAvx2, HadamardAvx2,   SpmmAvx2,
+    AdamAvx2,     DotI8Avx2, L2I8Avx2,
 };
 
 }  // namespace

@@ -129,6 +129,20 @@ inline void HadamardScalar(double* out, const double* a, const double* b,
   for (int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+inline void SpmmScalar(const int* row_offsets, const int* col_indices,
+                       const double* values, const double* x, double* y,
+                       int64_t r0, int64_t r1, int64_t cols) {
+  for (int64_t r = r0; r < r1; ++r) {
+    double* yrow = y + r * cols;
+    std::fill(yrow, yrow + cols, 0.0);
+    for (int k = row_offsets[r]; k < row_offsets[r + 1]; ++k) {
+      const double v = values[k];
+      const double* xrow = x + static_cast<int64_t>(col_indices[k]) * cols;
+      for (int64_t j = 0; j < cols; ++j) yrow[j] += v * xrow[j];
+    }
+  }
+}
+
 inline int32_t DotI8Scalar(const int8_t* x, const int8_t* y, int64_t n) {
   int32_t s = 0;
   for (int64_t i = 0; i < n; ++i) {

@@ -221,10 +221,13 @@ int32_t L2I8Neon(const int8_t* x, const int8_t* y, int64_t n) {
   return total;
 }
 
+// spmm is the scalar reference itself (mul then add, no FMA), so its
+// bits equal the scalar table's by construction.
 const KernelTable kNeonTable = {
-    Isa::kNeon,   GemmNeon, GemmTransANeon, GemmTransBNeon, DotNeon,
-    SumNeon,      SumSqNeon, AddNeon,       SubNeon,        ScaleNeon,
-    HadamardNeon, AdamNeon, DotI8Neon,      L2I8Neon,
+    Isa::kNeon,   GemmNeon,  GemmTransANeon, GemmTransBNeon,
+    DotNeon,      SumNeon,   SumSqNeon,      AddNeon,
+    SubNeon,      ScaleNeon, HadamardNeon,   detail::SpmmScalar,
+    AdamNeon,     DotI8Neon, L2I8Neon,
 };
 
 }  // namespace

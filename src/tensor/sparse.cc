@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/parallel.h"
+#include "tensor/simd.h"
 
 namespace gradgcl {
 
@@ -72,52 +73,60 @@ SparseMatrix SparseMatrix::FromCsr(int rows, int cols,
 Matrix SparseMatrix::Multiply(const Matrix& x) const {
   GRADGCL_CHECK_MSG(x.rows() == cols_, "SparseMatrix::Multiply shape mismatch");
   const int64_t cols = x.cols();
-  Matrix y(rows_, x.cols(), 0.0);
+  Matrix y = Matrix::Uninitialized(rows_, x.cols());
   const double* xdata = x.data();
   double* ydata = y.data();
-  // The GCN/GIN aggregation hot path. Row-parallel over CSR rows: each
-  // output row is one chunk's private accumulation in CSR order, so
-  // results are bit-identical for every thread count. Grain assumes the
-  // average row density; skewed rows just make chunks uneven.
+  const simd::KernelTable& kt = simd::Active();
+  // The GCN/GIN aggregation hot path, and through Transposed() its
+  // backward. Row-parallel over CSR rows: the spmm kernel computes each
+  // output row from +0.0 in CSR order inside one chunk, so results are
+  // bit-identical for every thread count and every kernel table. Grain
+  // assumes the average row density; skewed rows just make chunks
+  // uneven.
   const int64_t avg_row_work =
       rows_ > 0 ? (static_cast<int64_t>(nnz()) * cols) / rows_ : 0;
   constexpr int64_t kMinWorkPerChunk = 1 << 15;
   const int64_t grain =
       avg_row_work > 0 ? std::max<int64_t>(1, kMinWorkPerChunk / avg_row_work)
                        : rows_;
-  // Cost hint: 2 FLOPs (madd) per stored value per output column,
+  // Cost hint: 2 FLOPs (mul + add) per stored value per output column,
   // averaged over rows for the per-iteration estimate.
   ParallelFor(0, rows_, grain, /*cost_per_iter=*/2 * avg_row_work,
               [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      double* yrow = ydata + r * cols;
-      for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-        const double v = values_[k];
-        const double* xrow =
-            xdata + static_cast<int64_t>(col_indices_[k]) * cols;
-        for (int64_t j = 0; j < cols; ++j) yrow[j] += v * xrow[j];
-      }
-    }
-  });
+                kt.spmm(row_offsets_.data(), col_indices_.data(),
+                        values_.data(), xdata, ydata, r0, r1, cols);
+              });
   return y;
+}
+
+SparseMatrix SparseMatrix::Transposed() const {
+  // Counting sort by column. Rows are scattered in ascending order, so
+  // row c of the transpose lists every r with a stored (r, c) in
+  // ascending r: canonical CSR, and exactly the order in which a
+  // row-by-row scatter of this matrix would reach output row c.
+  SparseMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.row_offsets_.assign(static_cast<size_t>(cols_) + 1, 0);
+  for (int c : col_indices_) ++t.row_offsets_[c + 1];
+  for (int c = 0; c < cols_; ++c) t.row_offsets_[c + 1] += t.row_offsets_[c];
+  t.col_indices_.resize(col_indices_.size());
+  t.values_.resize(values_.size());
+  std::vector<int> next(t.row_offsets_.begin(), t.row_offsets_.end() - 1);
+  for (int r = 0; r < rows_; ++r) {
+    for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
+      const int dst = next[col_indices_[k]]++;
+      t.col_indices_[dst] = r;
+      t.values_[dst] = values_[k];
+    }
+  }
+  return t;
 }
 
 Matrix SparseMatrix::MultiplyTransposed(const Matrix& x) const {
   GRADGCL_CHECK_MSG(x.rows() == rows_,
                     "SparseMatrix::MultiplyTransposed shape mismatch");
-  // Stays serial: the CSR walk scatters into arbitrary output rows, so
-  // row-parallelism would race and per-thread buffers would change the
-  // accumulation order with the thread count (DESIGN.md §5).
-  Matrix y(cols_, x.cols(), 0.0);
-  for (int r = 0; r < rows_; ++r) {
-    const double* xrow = x.data() + static_cast<size_t>(r) * x.cols();
-    for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const double v = values_[k];
-      double* yrow = y.data() + static_cast<size_t>(col_indices_[k]) * x.cols();
-      for (int j = 0; j < x.cols(); ++j) yrow[j] += v * xrow[j];
-    }
-  }
-  return y;
+  return Transposed().Multiply(x);
 }
 
 Matrix SparseMatrix::ToDense() const {

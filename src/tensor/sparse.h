@@ -6,6 +6,13 @@
 // the operations the library needs: sparse × dense products (and the
 // transposed product required by backprop) plus construction from
 // triplets.
+//
+// Both products are the same row-parallel gather (the simd table's
+// spmm entry): each output row sums from +0.0 over its CSR entries in
+// order, product then add, so the bits depend on neither the thread
+// count nor the SIMD table. S^T X runs that gather over Transposed(),
+// whose rows list their entries in ascending source row — the order a
+// row-by-row scatter of S would accumulate them in.
 
 #ifndef GRADGCL_TENSOR_SPARSE_H_
 #define GRADGCL_TENSOR_SPARSE_H_
@@ -48,8 +55,13 @@ class SparseMatrix {
   // y = this * x  (dense x with x.rows() == cols()).
   Matrix Multiply(const Matrix& x) const;
 
-  // y = this^T * x  (dense x with x.rows() == rows()).
+  // y = this^T * x  (dense x with x.rows() == rows()); equal to
+  // Transposed().Multiply(x), which it builds on each call. Callers
+  // that apply S^T repeatedly keep Transposed() instead.
   Matrix MultiplyTransposed(const Matrix& x) const;
+
+  // S^T as canonical CSR, built by a counting sort in O(nnz + cols).
+  SparseMatrix Transposed() const;
 
   // Densifies; intended for tests and tiny graphs only.
   Matrix ToDense() const;

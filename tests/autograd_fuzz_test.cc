@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -124,17 +125,20 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, SharedSubexpression,
 
 // --- Fused-kernel fuzzing ---------------------------------------------------
 //
-// The six fused kernels of the loss pipeline, gradient-checked on
-// random shapes, with the matrix pool both on and off (pooled buffers
-// are recycled mid-graph, so a stale-aliasing bug would only show up
-// on the pooled leg). Each kernel output is scalarised through a
-// fixed random probe (Sum(Hadamard(out, probe))) so every output
-// entry contributes its own weight to the gradient.
+// The six fused kernels of the loss pipeline and the fused Linear
+// node, gradient-checked on random shapes, with the matrix pool both
+// on and off (pooled buffers are recycled mid-graph, so a
+// stale-aliasing bug would only show up on the pooled leg). Each kernel
+// output is scalarised through a fixed random probe
+// (Sum(Hadamard(out, probe))) so every output entry contributes its own
+// weight to the gradient.
 
 constexpr const char* kFusedKernels[] = {
     "MatMulTransBScaled", "CosineGram",     "MaskedExpRowSum",
     "ScaleRowsMatMul",    "OffDiagSigmoid", "LogSumExpOffDiag",
+    "Linear",
 };
+constexpr int kNumFusedKernels = static_cast<int>(std::size(kFusedKernels));
 
 // inputs = {u (n x d), v (n x d), c (n x 1)}. Probes are rebuilt from
 // `rng` on every call so re-evaluations see identical constants.
@@ -170,9 +174,16 @@ Variable FusedKernelExpression(int kernel, const VarList& inputs, int n,
       out = ag::OffDiagSigmoid(ag::MatMulTransBScaled(u, v, 0.5));
       probe = probe_nn;
       break;
-    default:
+    case 5:
       out = ag::LogSumExpOffDiag(ag::MatMulTransBScaled(u, v, 0.9));
       probe = probe_n1;
+      break;
+    default:
+      // x = v, W = u^T v (d x d), b = u's first row: gradients reach
+      // all three operands of the node through upstream ops.
+      out = ag::Linear(v, ag::MatMul(ag::Transpose(u), v),
+                       ag::SliceRows(u, 0, 1));
+      probe = probe_nd;
       break;
   }
   Variable total = ag::Sum(ag::Hadamard(out, probe));
@@ -219,7 +230,7 @@ TEST_P(FusedKernelFuzz, FusedKernelsGradCheck) {
   inputs.emplace_back(Matrix::RandomNormal(n, 1, init, 0.0, 0.8),
                       /*requires_grad=*/true);
 
-  for (int kernel = 0; kernel < 6; ++kernel) {
+  for (int kernel = 0; kernel < kNumFusedKernels; ++kernel) {
     const uint64_t probe_seed = seed * 6007 + kernel * 271 + 1;
     auto forward = [kernel, probe_seed, n, d](const VarList& in) {
       Rng probe_rng(probe_seed);

@@ -462,6 +462,45 @@ TEST(AutogradTape, ParameterReuseAcrossGraphs) {
   EXPECT_TRUE(AllClose(w.grad(), Matrix(2, 2, 7.0), 1e-12));
 }
 
+TEST(AutogradTape, AdoptedFirstDeltaReadsAsSumFromZero) {
+  // The first delta is adopted rather than added to zeros. Readers must
+  // still see 0.0 + d0 + d1 + d2, added in arrival order: -0.0 reads
+  // back as +0.0, and the order shows in the rounding (1e16 + 1 + 1
+  // stays 1e16; 1e16 + 2 would not).
+  Variable x(Matrix(1, 4, 1.0), /*requires_grad=*/true);
+  internal::Node& node = *x.node();
+  const Matrix d0{{-0.0, 1e16, 1.0, -0.0}};
+  node.AccumulateGrad(d0);  // lvalue: copied, d0 untouched
+  node.AccumulateGrad(Matrix{{-0.0, 1.0, 1e16, 2.5}});
+  node.AccumulateGrad(Matrix{{-0.0, 1.0, -1e16, -2.5}});
+  EXPECT_EQ(Bits(d0(0, 0)), Bits(-0.0));
+  const double expected[4] = {((0.0 + -0.0) + -0.0) + -0.0,
+                              ((0.0 + 1e16) + 1.0) + 1.0,
+                              ((0.0 + 1.0) + 1e16) + -1e16,
+                              ((0.0 + -0.0) + 2.5) + -2.5};
+  for (int j = 0; j < 4; ++j) {
+    EXPECT_EQ(Bits(x.grad()(0, j)), Bits(expected[j])) << "entry " << j;
+  }
+  EXPECT_EQ(Bits(x.grad()(0, 0)), Bits(0.0));
+  EXPECT_EQ(x.grad()(0, 1), 1e16);
+  EXPECT_EQ(Bits(x.grad()(0, 3)), Bits(0.0));
+}
+
+TEST(AutogradTape, NegativeZeroGradientReadsAsPositiveZero) {
+  // Through a real backward: ScalarMul by -0.0 hands x a first delta of
+  // all -0.0, which a zero-filled accumulator would have read as +0.0.
+  Variable x = Param(2, 3, 57);
+  Backward(ag::Sum(ag::ScalarMul(x, -0.0)));
+  for (int i = 0; i < x.grad().size(); ++i) {
+    EXPECT_EQ(Bits(x.grad().at_flat(i)), Bits(0.0)) << "entry " << i;
+  }
+  // A second pass adds to the now-canonical gradient.
+  Backward(ag::Sum(ag::ScalarMul(x, -0.0)));
+  for (int i = 0; i < x.grad().size(); ++i) {
+    EXPECT_EQ(Bits(x.grad().at_flat(i)), Bits(0.0)) << "entry " << i;
+  }
+}
+
 TEST(AutogradTape, DeepChainBackward) {
   Variable x = Param(2, 2, 54, 0.01);
   Variable h = x;

@@ -18,6 +18,7 @@
 #include "losses/contrastive.h"
 #include "tensor/matrix.h"
 #include "tensor/pool.h"
+#include "tensor/simd.h"
 #include "train/optimizer.h"
 
 namespace gradgcl {
@@ -59,17 +60,23 @@ class PoolEnvironmentTest : public ::testing::Test {
     pooling_ = PoolingEnabled();
     fused_ = FusedKernelsEnabled();
     threads_ = NumThreads();
+    simd_ = simd::Enabled();
+    min_cost_ = internal::MinParallelCost();
   }
   void TearDown() override {
     SetPoolingEnabled(pooling_);
     SetFusedKernelsEnabled(fused_);
     SetNumThreads(threads_);
+    simd::SetEnabled(simd_);
+    internal::SetMinParallelCost(min_cost_);
   }
 
  private:
   bool pooling_ = true;
   bool fused_ = true;
   int threads_ = 1;
+  bool simd_ = true;
+  int64_t min_cost_ = 0;
 };
 
 using MatrixPoolTest = PoolEnvironmentTest;
@@ -415,6 +422,48 @@ TEST_F(FusedEquivalenceTest, GradGclLossMatchesUnfusedExactly) {
     EXPECT_TRUE(BitIdentical(fused.value, ref.value)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.du, ref.du)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.dv, ref.dv)) << threads << " threads";
+  }
+}
+
+TEST_F(FusedEquivalenceTest, LinearMatchesMatMulPlusBiasExactly) {
+  Rng rng(29);
+  // 70 output columns span two 64-wide GEMM column tiles, and forced
+  // fan-out splits the row strips across threads, so the bias add runs
+  // per tile exactly as it does in the encoder.
+  const Matrix mx = Matrix::RandomNormal(203, 37, rng);
+  const Matrix mw = Matrix::RandomNormal(37, 70, rng);
+  const Matrix mb = Matrix::RandomNormal(1, 70, rng);
+  const Matrix probe = Matrix::RandomNormal(203, 70, rng);
+  struct Result {
+    Matrix value, dx, dw, db;
+  };
+  auto eval = [&](bool fused) {
+    Variable x(mx, true);
+    Variable w(mw, true);
+    Variable b(mb, true);
+    Variable out = fused ? ag::Linear(x, w, b)
+                         : ag::AddRowBroadcast(ag::MatMul(x, w), b);
+    Backward(ag::Sum(ag::Hadamard(out, Variable(probe))));
+    return Result{out.value(), x.grad(), w.grad(), b.grad()};
+  };
+
+  internal::SetMinParallelCost(0);
+  for (bool simd_on : {true, false}) {
+    simd::SetEnabled(simd_on);
+    SetNumThreads(1);
+    const Result ref = eval(/*fused=*/false);
+    for (int threads : {1, 2, 4}) {
+      SetNumThreads(threads);
+      const Result fused = eval(/*fused=*/true);
+      EXPECT_TRUE(BitIdentical(fused.value, ref.value))
+          << threads << " threads, simd " << simd_on;
+      EXPECT_TRUE(BitIdentical(fused.dx, ref.dx))
+          << threads << " threads, simd " << simd_on;
+      EXPECT_TRUE(BitIdentical(fused.dw, ref.dw))
+          << threads << " threads, simd " << simd_on;
+      EXPECT_TRUE(BitIdentical(fused.db, ref.db))
+          << threads << " threads, simd " << simd_on;
+    }
   }
 }
 
