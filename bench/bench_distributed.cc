@@ -1,9 +1,16 @@
-// Distributed training bench: steps/sec and scaling efficiency of the
+// Distributed training bench: steps/sec, speedup and efficiency of the
 // deterministic data-parallel trainer (src/distributed/) on the Table
 // VIII efficiency workload — GraphCL + GradGCL on synthetic PROTEINS,
 // batch 64 — at 1/2/4 ranks over both transports (ranks run as threads
 // of this process on one host; the socket legs still pay real kernel
 // socket traffic).
+//
+// Every step is A = 4 micro-batches at any world size W, so W ranks do
+// the same work per step as one: `speedup` is steps/sec over the
+// same-backend 1-rank steps/sec, and `efficiency` is speedup / W. A
+// leg is a few dozen steps and well under a second, so each leg is
+// timed kReps times; steps/sec comes from the median time, and the
+// fastest and slowest repetitions are reported next to it.
 //
 // Every leg is parity-gated: the per-step loss trajectory must be
 // bitwise identical to the single-rank baseline (that is the
@@ -18,6 +25,7 @@
 // GRADGCL_DIST_BUCKET_BYTES is honored as documented. Writes
 // BENCH_distributed.json.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +52,7 @@ using dist::RunDataParallelRanks;
 
 constexpr double kGradGclWeight = 0.5;
 constexpr uint64_t kModelSeed = 9;
+constexpr int kReps = 5;  // timed repetitions per leg
 
 int64_t EnvCount(const char* name, int64_t fallback, int64_t min) {
   if (const char* env = std::getenv(name)) {
@@ -78,9 +87,12 @@ bool LossesBitEqual(const std::vector<double>& a,
 struct Leg {
   const char* backend = "thread";
   int world = 1;
-  double seconds = 0.0;
-  double steps_per_sec = 0.0;
-  double efficiency = 1.0;  // steps_per_sec / same-backend 1-rank rate
+  double seconds = 0.0;  // median over kReps repetitions
+  double seconds_min = 0.0;
+  double seconds_max = 0.0;
+  double steps_per_sec = 0.0;  // steps / median seconds
+  double speedup = 1.0;        // steps_per_sec / same-backend 1-rank rate
+  double efficiency = 1.0;     // speedup / world
   int64_t steps = 0;
 };
 
@@ -102,8 +114,8 @@ int main() {
   std::printf("bench_distributed: deterministic data-parallel training\n");
   std::printf(
       "workload: GraphCL+GradGCL(w=%.1f) on synthetic PROTEINS, "
-      "%lld graphs, batch 64, accum 4, %d epochs\n",
-      kGradGclWeight, static_cast<long long>(num_graphs), epochs);
+      "%lld graphs, batch 64, accum 4, %d epochs; each leg timed %d times\n",
+      kGradGclWeight, static_cast<long long>(num_graphs), epochs, kReps);
 
   const std::function<std::unique_ptr<GraphSslModel>(int)> model_factory =
       [&](int) {
@@ -120,43 +132,52 @@ int main() {
     for (const int world : {1, 2, 4}) {
       DistOptions opt = BenchOptions(epochs);
       opt.world_size = world;
-      Stopwatch watch;
-      const std::vector<DistResult> results =
-          RunDataParallelRanks(opt, backend, model_factory, data);
-      const double seconds = watch.ElapsedSeconds();
-      for (int r = 0; r < world; ++r) {
-        if (results[r].status != CommStatus::kOk) {
-          std::fprintf(stderr, "FAIL: %s x%d rank %d status %s\n",
-                       BackendName(backend), world, r,
-                       dist::CommStatusName(results[r].status));
-          return 1;
+      std::vector<double> seconds;
+      int64_t steps = 0;
+      for (int rep = 0; rep < kReps; ++rep) {
+        Stopwatch watch;
+        const std::vector<DistResult> results =
+            RunDataParallelRanks(opt, backend, model_factory, data);
+        seconds.push_back(watch.ElapsedSeconds());
+        for (int r = 0; r < world; ++r) {
+          if (results[r].status != CommStatus::kOk) {
+            std::fprintf(stderr, "FAIL: %s x%d rank %d status %s\n",
+                         BackendName(backend), world, r,
+                         dist::CommStatusName(results[r].status));
+            return 1;
+          }
         }
-      }
-      if (baseline.empty()) baseline = results[0].step_losses;
-      for (int r = 0; r < world; ++r) {
-        if (!LossesBitEqual(results[r].step_losses, baseline)) {
-          std::fprintf(stderr,
-                       "FAIL: %s x%d rank %d loss trajectory diverged "
-                       "from the single-rank baseline\n",
-                       BackendName(backend), world, r);
-          return 1;
+        if (baseline.empty()) baseline = results[0].step_losses;
+        for (int r = 0; r < world; ++r) {
+          if (!LossesBitEqual(results[r].step_losses, baseline)) {
+            std::fprintf(stderr,
+                         "FAIL: %s x%d rank %d loss trajectory diverged "
+                         "from the single-rank baseline\n",
+                         BackendName(backend), world, r);
+            return 1;
+          }
         }
+        steps = results[0].steps_completed;
       }
+      std::sort(seconds.begin(), seconds.end());
       Leg leg;
       leg.backend = BackendName(backend);
       leg.world = world;
-      leg.steps = results[0].steps_completed;
-      leg.seconds = seconds;
-      leg.steps_per_sec = static_cast<double>(leg.steps) / seconds;
+      leg.steps = steps;
+      leg.seconds = seconds[seconds.size() / 2];
+      leg.seconds_min = seconds.front();
+      leg.seconds_max = seconds.back();
+      leg.steps_per_sec = static_cast<double>(leg.steps) / leg.seconds;
       if (world == 1) one_rank_rate = leg.steps_per_sec;
-      leg.efficiency =
-          one_rank_rate > 0.0 ? leg.steps_per_sec / one_rank_rate : 1.0;
+      leg.speedup = leg.steps_per_sec / one_rank_rate;
+      leg.efficiency = leg.speedup / world;
       legs.push_back(leg);
       std::printf(
-          "%s x%d: %lld steps in %.2fs -> %.2f steps/sec "
-          "(efficiency %.2f), trajectory bitwise == baseline\n",
-          leg.backend, world, static_cast<long long>(leg.steps), seconds,
-          leg.steps_per_sec, leg.efficiency);
+          "%s x%d: %lld steps in %.3fs median (%.3f-%.3fs) -> %.2f steps/sec, "
+          "speedup %.2f, efficiency %.2f, trajectory bitwise == baseline\n",
+          leg.backend, world, static_cast<long long>(leg.steps), leg.seconds,
+          leg.seconds_min, leg.seconds_max, leg.steps_per_sec, leg.speedup,
+          leg.efficiency);
     }
   }
 
@@ -212,20 +233,23 @@ int main() {
                "\"micro_batches_per_step\": 4, \"epochs\": %d, "
                "\"steps\": %lld, \"grad_gcl_weight\": %.1f, "
                "\"bucket_bytes\": %lld},\n"
-               "  \"ranks_as\": \"threads of one process\",\n",
+               "  \"ranks_as\": \"threads of one process\",\n"
+               "  \"reps_per_leg\": %d,\n",
                std::thread::hardware_concurrency(),
                static_cast<long long>(num_graphs), epochs,
                static_cast<long long>(baseline.size()), kGradGclWeight,
-               static_cast<long long>(dist::ResolveDistBucketBytes()));
+               static_cast<long long>(dist::ResolveDistBucketBytes()), kReps);
   std::fprintf(json, "  \"legs\": [\n");
   for (size_t i = 0; i < legs.size(); ++i) {
     std::fprintf(json,
                  "    {\"backend\": \"%s\", \"ranks\": %d, "
-                 "\"seconds\": %.3f, \"steps_per_sec\": %.3f, "
-                 "\"scaling_efficiency\": %.3f, "
+                 "\"seconds\": %.3f, \"seconds_min\": %.3f, "
+                 "\"seconds_max\": %.3f, \"steps_per_sec\": %.3f, "
+                 "\"speedup\": %.3f, \"efficiency\": %.3f, "
                  "\"bitwise_equal_to_single_rank\": true}%s\n",
                  legs[i].backend, legs[i].world, legs[i].seconds,
-                 legs[i].steps_per_sec, legs[i].efficiency,
+                 legs[i].seconds_min, legs[i].seconds_max,
+                 legs[i].steps_per_sec, legs[i].speedup, legs[i].efficiency,
                  i + 1 < legs.size() ? "," : "");
   }
   std::fprintf(json,

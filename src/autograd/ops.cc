@@ -21,8 +21,6 @@ bool NeedsGrad(const std::shared_ptr<Node>& n) {
 
 }  // namespace
 
-Variable FromScalar(double value) { return Variable(Matrix(1, 1, value)); }
-
 Variable Add(const Variable& a, const Variable& b) {
   GRADGCL_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
   return Variable::MakeOp(a.value() + b.value(), {a, b}, [](Node& out) {
@@ -106,15 +104,6 @@ Variable MatMulTransB(const Variable& a, const Variable& b) {
               MatMulTransA(out.grad, out.parents[0]->value));
         }
       });
-}
-
-Variable ConstLeftMatMul(const Matrix& c, const Variable& a) {
-  // Capture c by value: the caller's matrix may not outlive the tape.
-  return Variable::MakeOp(gradgcl::MatMul(c, a.value()), {a}, [c](Node& out) {
-    if (NeedsGrad(out.parents[0])) {
-      out.parents[0]->AccumulateGrad(MatMulTransA(c, out.grad));
-    }
-  });
 }
 
 Variable SparseLeftMatMul(const SparseMatrix& s, const Variable& a) {
@@ -340,11 +329,6 @@ Variable SumRows(const Variable& a) {
       out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
-}
-
-Variable MeanRows(const Variable& a) {
-  GRADGCL_CHECK(a.cols() > 0);
-  return ScalarMul(SumRows(a), 1.0 / a.cols());
 }
 
 Variable RowNormalize(const Variable& a, double eps) {
@@ -696,20 +680,6 @@ Variable ConcatRows(const Variable& a, const Variable& b) {
           out.parents[1]->AccumulateGrad(
               out.grad.RowSlice(na, out.grad.rows()));
         }
-      });
-}
-
-Variable SliceRows(const Variable& a, int begin, int end) {
-  GRADGCL_CHECK(begin >= 0 && begin <= end && end <= a.rows());
-  return Variable::MakeOp(
-      a.value().RowSlice(begin, end), {a}, [begin, end](Node& out) {
-        if (!NeedsGrad(out.parents[0])) return;
-        const Matrix& x = out.parents[0]->value;
-        Matrix g(x.rows(), x.cols(), 0.0);
-        for (int i = begin; i < end; ++i) {
-          for (int j = 0; j < x.cols(); ++j) g(i, j) = out.grad(i - begin, j);
-        }
-        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 

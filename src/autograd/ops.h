@@ -20,11 +20,6 @@
 
 namespace gradgcl::ag {
 
-// --- Constructors -----------------------------------------------------------
-
-// Wraps a scalar as a constant 1x1 Variable.
-Variable FromScalar(double value);
-
 // --- Arithmetic -------------------------------------------------------------
 
 Variable Add(const Variable& a, const Variable& b);
@@ -41,10 +36,6 @@ Variable MatMul(const Variable& a, const Variable& b);
 
 // a * b^T with full gradients to both operands.
 Variable MatMulTransB(const Variable& a, const Variable& b);
-
-// c * a where c is a constant (e.g. a normalised adjacency matrix);
-// gradient flows only into a.
-Variable ConstLeftMatMul(const Matrix& c, const Variable& a);
 
 // s * a for a constant sparse operator s (the batched adjacency);
 // backward applies s^T. Gradient flows only into a; when a needs none
@@ -87,9 +78,8 @@ Variable Dropout(const Variable& a, double p, Rng& rng);
 Variable Sum(const Variable& a);
 Variable Mean(const Variable& a);
 
-// Per-row sum / mean: n x d -> n x 1.
+// Per-row sum: n x d -> n x 1.
 Variable SumRows(const Variable& a);
-Variable MeanRows(const Variable& a);
 
 // --- Row geometry -------------------------------------------------------------
 
@@ -164,9 +154,6 @@ Variable AddRowBroadcast(const Variable& a, const Variable& row);
 
 // Stacks b below a.
 Variable ConcatRows(const Variable& a, const Variable& b);
-
-// Rows [begin, end) of a.
-Variable SliceRows(const Variable& a, int begin, int end);
 
 // Rows of a selected (with repetition allowed) by `indices`;
 // backward scatter-adds.

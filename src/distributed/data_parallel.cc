@@ -9,6 +9,8 @@
 #include "common/stopwatch.h"
 #include "distributed/comm_socket.h"
 #include "distributed/ring_allreduce.h"
+#include "obs/collapse.h"
+#include "obs/trace.h"
 #include "tensor/pool.h"
 #include "train/scheduler.h"
 
@@ -123,7 +125,8 @@ TrainCheckpoint MakeCheckpoint(int64_t global_step, int64_t epoch,
 }
 
 DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
-                   DistOptions opt, CommBackend* comm) {
+                   DistOptions opt, CommBackend* comm,
+                   const std::function<void(const EpochStats&)>& on_epoch) {
   const int W = comm != nullptr ? comm->world_size() : 1;
   const int rank = comm != nullptr ? comm->rank() : 0;
   if (opt.world_size > 0) {
@@ -203,7 +206,13 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
         "checkpoint save failed");
   };
 
+  // Rank 0 reports each optimizer step to the collapse monitor once;
+  // the other ranks never open a stage, so their recorders are no-ops.
+  obs::CollapseMonitor& monitor = obs::CollapseMonitor::Instance();
+  const bool observe = rank == 0;
   for (int64_t epoch = start_epoch; epoch < t.epochs; ++epoch) {
+    obs::TraceScope epoch_span("train/epoch");
+    Stopwatch epoch_watch;
     // Plan stream state at epoch start: what a checkpoint inside this
     // epoch records, so resume can regenerate the identical plan.
     const RngState epoch_rng = plan_rng.state();
@@ -223,12 +232,29 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
     }
     runner.BeginEpoch(plan, owned);
 
-    Stopwatch epoch_watch;
     double epoch_loss = 0.0;
     int64_t epoch_steps = 0;
+    const auto finish_epoch = [&] {
+      EpochStats stats;
+      stats.epoch = static_cast<int>(epoch);
+      stats.loss = epoch_loss / static_cast<double>(epoch_steps);
+      stats.seconds = epoch_watch.ElapsedSeconds();
+      if (on_epoch) on_epoch(stats);
+      result.history.push_back(stats);
+    };
     optimizer.set_lr(ScheduledLr(t.schedule, t.lr, static_cast<int>(epoch),
                                  t.epochs));
     for (int64_t w = w0; w < windows; ++w) {
+      obs::TraceScope step_span("train/step");
+      Stopwatch step_watch;
+      // Step-scoped pooling: every Matrix the micro-batches, the
+      // reduction, the optimizer and the monitor allocate inside this
+      // scope recycles through the MatrixPool (tensor/pool.h).
+      TapeScope tape;
+      if (observe) {
+        monitor.BeginStep(
+            obs::StepContext{global_step, static_cast<int>(epoch)});
+      }
       const int64_t m = std::min<int64_t>(A, num_batches - w * A);
       std::fill(loss_buf.begin(), loss_buf.end(), 0.0);
       for (int j = 0; j < B; ++j) {
@@ -242,7 +268,6 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
           continue;
         }
         Rng batch_rng(BatchStreamSeed(t.seed, epoch, b));
-        TapeScope tape;  // step-scoped pooling, as in TrainGraphSsl
         optimizer.ZeroGrad();
         Variable loss = runner.Loss(model, b, batch_rng);
         Backward(loss);
@@ -286,8 +311,13 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
         in += g.size();
         p.set_grad(std::move(g));
       }
+      const double grad_norm =
+          observe && monitor.enabled() ? ParameterGradNorm(params) : 0.0;
       optimizer.Step();
       model.PostStep();
+      if (observe) {
+        monitor.EndStep(window_loss, grad_norm, step_watch.ElapsedSeconds());
+      }
 
       result.step_losses.push_back(window_loss);
       epoch_loss += window_loss;
@@ -300,22 +330,11 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
       if (opt.stop_at_step >= 0 && global_step >= opt.stop_at_step) {
         save_checkpoint(epoch, w + 1, epoch_rng);
         result.steps_completed = global_step;
-        if (epoch_steps > 0) {
-          EpochStats stats;
-          stats.epoch = static_cast<int>(epoch);
-          stats.loss = epoch_loss / static_cast<double>(epoch_steps);
-          stats.seconds = epoch_watch.ElapsedSeconds();
-          result.history.push_back(stats);
-        }
+        finish_epoch();
         return result;
       }
     }
-    EpochStats stats;
-    stats.epoch = static_cast<int>(epoch);
-    stats.loss = epoch_steps > 0 ? epoch_loss / static_cast<double>(epoch_steps)
-                                 : 0.0;
-    stats.seconds = epoch_watch.ElapsedSeconds();
-    result.history.push_back(stats);
+    finish_epoch();
   }
   // Final checkpoint so a later resume is a no-op continuation.
   {
@@ -331,19 +350,20 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
 DataParallelTrainer::DataParallelTrainer(const DistOptions& options)
     : options_(options) {}
 
-DistResult DataParallelTrainer::Run(GraphSslModel& model,
-                                    const std::vector<Graph>& dataset,
-                                    CommBackend* comm) {
+DistResult DataParallelTrainer::Run(
+    GraphSslModel& model, const std::vector<Graph>& dataset, CommBackend* comm,
+    const std::function<void(const EpochStats&)>& on_epoch) {
   InRamRunner runner(dataset);
   return RunCore(model, runner, static_cast<int64_t>(dataset.size()),
-                 options_, comm);
+                 options_, comm, on_epoch);
 }
 
-DistResult DataParallelTrainer::RunStreamed(GraphSslModel& model,
-                                            GraphBatchSource& source,
-                                            CommBackend* comm) {
+DistResult DataParallelTrainer::RunStreamed(
+    GraphSslModel& model, GraphBatchSource& source, CommBackend* comm,
+    const std::function<void(const EpochStats&)>& on_epoch) {
   StreamedRunner runner(source);
-  return RunCore(model, runner, source.num_graphs(), options_, comm);
+  return RunCore(model, runner, source.num_graphs(), options_, comm,
+                 on_epoch);
 }
 
 int ResolveDistRanks() {

@@ -1,4 +1,9 @@
-// Deterministic data-parallel training over a comm ring.
+// Deterministic data-parallel training over a comm ring — the one
+// graph-level training loop. TrainGraphSsl and TrainGraphSslStreamed
+// (train/trainer.h) are this loop on one rank with one micro-batch per
+// step, so W-rank == 1-rank and streamed == in-RAM hold by
+// construction: the in-RAM and streamed runs differ only in the runner
+// that turns a planned batch into a loss.
 //
 // Contrastive losses couple every graph in a batch (InfoNCE negatives),
 // so splitting one batch across ranks can never be bitwise-equal to
@@ -17,13 +22,16 @@
 // produce bit-identical parameters and loss trajectories, pinned by
 // tests over both transports.
 //
-// Batch plans come from the same Rng(seed)-driven MakeMiniBatches
-// stream as the single-process trainers, replicated identically on
-// every rank; per-batch randomness comes from the per-batch streams
-// (train/trainer.h BatchStreamSeed), so ranks never need to know each
-// other's Rng consumption. With W = 1 and A = 1 this loop degenerates
-// exactly to TrainGraphSsl, completing the equivalence chain to the
-// single-process path.
+// Batch plans come from one Rng(seed)-driven MakeMiniBatches stream,
+// replicated identically on every rank; per-batch randomness comes
+// from the per-batch streams (train/trainer.h BatchStreamSeed), so
+// ranks never need to know each other's Rng consumption.
+//
+// Observability: every rank traces a "train/epoch" span per epoch and
+// a "train/step" span per optimizer step; rank 0 alone drives the
+// collapse monitor (obs/collapse.h), once per optimizer step, with the
+// window's mean loss and the norm of the reduced gradient. The staged
+// representations and loss split are the last micro-batch's.
 //
 // Fault model: gradients are applied only after a fully successful
 // all-reduce, so a rank death mid-step (CommStatus::kPeerDead /
@@ -32,11 +40,14 @@
 // partial update, no hang. Checkpoint/resume (checkpoint.h) is
 // bit-exact at any step boundary.
 //
-// Model requirement: PostStep() must evolve replicated state only as a
-// function of parameters/gradients (GraphCL, InfoGraph, BGRL's EMA).
-// Models whose PostStep consumes rank-local batch statistics (JOAO's
-// augmentation-distribution update) would diverge across ranks and are
-// not supported by this trainer.
+// Model requirement: BatchLoss and PostStep() may evolve replicated
+// state only as a function of parameters/gradients (GraphCL, SimGRACE,
+// InfoGraph, MVGRL and GraphMAE carry no batch statistics from one
+// call to the next). JOAO does not meet it:
+// Joao::BatchLoss updates the augmentation distribution from the
+// previous micro-batch's loss, so at A > 1 it updates once per
+// micro-batch and at W > 1 each rank keeps its own distribution. JOAO
+// is supported only at W = 1, A = 1, the way TrainGraphSsl runs it.
 //
 // Env knobs (read when the corresponding option is 0 / empty):
 //   GRADGCL_DIST_RANKS        world size for RunDataParallelRanks
@@ -63,7 +74,7 @@ struct DistOptions {
   // 0 resolves GRADGCL_DIST_RANKS (default 1). Must be a power of two.
   int world_size = 0;
   // Micro-batches per optimizer step (A). Power of two, divisible by
-  // the world size. A = 1, W = 1 reproduces TrainGraphSsl exactly.
+  // the world size. A = 1, W = 1 is TrainGraphSsl.
   int micro_batches_per_step = 4;
   // 0 resolves GRADGCL_DIST_BUCKET_BYTES (default 1 MiB).
   int64_t bucket_bytes = 0;
@@ -92,17 +103,22 @@ class DataParallelTrainer {
  public:
   explicit DataParallelTrainer(const DistOptions& options);
 
-  // Trains `model` as one rank of `comm`'s ring (comm == nullptr: the
-  // single-rank degenerate case, no communication). All ranks must use
-  // identical options; parameters are broadcast from rank 0 before the
-  // first step so replicas start bit-identical.
+  // Trains `model` as one rank of `comm`'s ring (comm == nullptr: a
+  // single rank, no communication). All ranks must use identical
+  // options; parameters are broadcast from rank 0 before the first
+  // step so replicas start bit-identical. `on_epoch` (optional)
+  // observes the stats of each epoch as it ends, on this rank.
   DistResult Run(GraphSslModel& model, const std::vector<Graph>& dataset,
-                 CommBackend* comm = nullptr);
+                 CommBackend* comm = nullptr,
+                 const std::function<void(const EpochStats&)>& on_epoch =
+                     nullptr);
 
-  // Streaming twin over a GraphBatchSource (the rank consumes only its
+  // The same loop over a GraphBatchSource (the rank consumes only its
   // own slots' batches; bit-identical to Run on an equivalent source).
   DistResult RunStreamed(GraphSslModel& model, GraphBatchSource& source,
-                         CommBackend* comm = nullptr);
+                         CommBackend* comm = nullptr,
+                         const std::function<void(const EpochStats&)>&
+                             on_epoch = nullptr);
 
   const DistOptions& options() const { return options_; }
 

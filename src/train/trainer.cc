@@ -3,17 +3,13 @@
 #include <cmath>
 
 #include "common/stopwatch.h"
+#include "distributed/data_parallel.h"
 #include "obs/collapse.h"
 #include "obs/trace.h"
 #include "tensor/pool.h"
 
 namespace gradgcl {
 
-namespace {
-
-// L2 norm over all parameter gradients, accumulated serially in
-// parameter order (deterministic; only computed when observability is
-// on).
 double ParameterGradNorm(const std::vector<Variable>& params) {
   double sum_sq = 0.0;
   for (const Variable& p : params) {
@@ -22,8 +18,6 @@ double ParameterGradNorm(const std::vector<Variable>& params) {
   }
   return std::sqrt(sum_sq);
 }
-
-}  // namespace
 
 std::vector<std::vector<int>> MakeMiniBatches(int n, int batch_size,
                                               Rng& rng) {
@@ -63,135 +57,34 @@ uint64_t BatchStreamSeed(uint64_t seed, int64_t epoch, int64_t batch) {
   return x;
 }
 
+namespace {
+
+// The graph-level loop (distributed/data_parallel.h) on one rank with
+// one micro-batch per optimizer step.
+dist::DataParallelTrainer OneRank(const TrainOptions& options) {
+  dist::DistOptions opt;
+  opt.train = options;
+  opt.world_size = 1;
+  opt.micro_batches_per_step = 1;
+  return dist::DataParallelTrainer(opt);
+}
+
+}  // namespace
+
 std::vector<EpochStats> TrainGraphSsl(
     GraphSslModel& model, const std::vector<Graph>& dataset,
     const TrainOptions& options,
     const std::function<void(const EpochStats&)>& on_epoch) {
-  GRADGCL_CHECK(dataset.size() >= 2);
-  Adam optimizer(model.parameters(), options.lr, 0.9, 0.999, 1e-8,
-                 options.weight_decay);
-  Rng rng(options.seed);
-
-  obs::CollapseMonitor& monitor = obs::CollapseMonitor::Instance();
-  std::vector<EpochStats> history;
-  history.reserve(options.epochs);
-  int64_t global_step = 0;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    obs::TraceScope epoch_span("train/epoch");
-    optimizer.set_lr(
-        ScheduledLr(options.schedule, options.lr, epoch, options.epochs));
-    Stopwatch watch;
-    double epoch_loss = 0.0;
-    int steps = 0;
-    const std::vector<std::vector<int>> plan = MakeMiniBatches(
-        static_cast<int>(dataset.size()), options.batch_size, rng);
-    for (size_t b = 0; b < plan.size(); ++b) {
-      obs::TraceScope step_span("train/step");
-      Stopwatch step_watch;
-      monitor.BeginStep(obs::StepContext{global_step, epoch});
-      // Each batch gets its own derived Rng stream (see BatchStreamSeed)
-      // so the distributed trainer can reproduce this loop with batches
-      // spread across ranks.
-      Rng batch_rng(BatchStreamSeed(options.seed, epoch,
-                                    static_cast<int64_t>(b)));
-      // Step-scoped pooling: every Matrix the forward/backward pass
-      // allocates inside this scope recycles through the MatrixPool.
-      // Parameters and optimizer state were created outside any scope
-      // and stay heap-backed (tensor/pool.h).
-      TapeScope tape;
-      optimizer.ZeroGrad();
-      Variable loss = model.BatchLoss(dataset, plan[b], batch_rng);
-      Backward(loss);
-      const double loss_value = loss.scalar();
-      const double grad_norm =
-          monitor.enabled() ? ParameterGradNorm(model.parameters()) : 0.0;
-      optimizer.Step();
-      model.PostStep();
-      // Inside the tape so the monitor's temporaries recycle through
-      // the pool.
-      if (monitor.enabled()) {
-        monitor.EndStep(loss_value, grad_norm, step_watch.ElapsedSeconds());
-      }
-      epoch_loss += loss_value;
-      ++steps;
-      ++global_step;
-    }
-    EpochStats stats;
-    stats.epoch = epoch;
-    stats.loss = steps > 0 ? epoch_loss / steps : 0.0;
-    stats.seconds = watch.ElapsedSeconds();
-    if (on_epoch) on_epoch(stats);
-    history.push_back(stats);
-  }
-  return history;
+  return OneRank(options).Run(model, dataset, nullptr, on_epoch).history;
 }
 
 std::vector<EpochStats> TrainGraphSslStreamed(
     GraphSslModel& model, GraphBatchSource& source,
     const TrainOptions& options,
     const std::function<void(const EpochStats&)>& on_epoch) {
-  const int64_t n = source.num_graphs();
-  GRADGCL_CHECK(n >= 2);
-  Adam optimizer(model.parameters(), options.lr, 0.9, 0.999, 1e-8,
-                 options.weight_decay);
-  Rng rng(options.seed);
-
-  obs::CollapseMonitor& monitor = obs::CollapseMonitor::Instance();
-  std::vector<EpochStats> history;
-  history.reserve(options.epochs);
-  int64_t global_step = 0;
-  // Reused across steps: the gathered batch and its identity index
-  // list. BatchLoss(gathered, iota) is bit-equal to the in-RAM
-  // BatchLoss(dataset, batch) by the gather-invariance contract.
-  std::vector<Graph> gathered;
-  std::vector<int> iota;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    obs::TraceScope epoch_span("train/epoch");
-    optimizer.set_lr(
-        ScheduledLr(options.schedule, options.lr, epoch, options.epochs));
-    Stopwatch watch;
-    double epoch_loss = 0.0;
-    int steps = 0;
-    // Identical plan-Rng consumption to TrainGraphSsl: the plan is the
-    // same shuffled index stream the in-RAM loop would walk.
-    const std::vector<std::vector<int>> plan = MakeMiniBatches(
-        static_cast<int>(n), options.batch_size, rng);
-    source.BeginEpoch(plan);
-    for (size_t b = 0; b < plan.size(); ++b) {
-      obs::TraceScope step_span("train/step");
-      Stopwatch step_watch;
-      GRADGCL_CHECK_MSG(source.NextBatch(&gathered),
-                        "streaming batch source failed (corrupt shard?)");
-      iota.resize(gathered.size());
-      for (size_t k = 0; k < iota.size(); ++k) iota[k] = static_cast<int>(k);
-      monitor.BeginStep(obs::StepContext{global_step, epoch});
-      // Same per-batch stream derivation as TrainGraphSsl.
-      Rng batch_rng(BatchStreamSeed(options.seed, epoch,
-                                    static_cast<int64_t>(b)));
-      TapeScope tape;  // step-scoped pooling, as in TrainGraphSsl
-      optimizer.ZeroGrad();
-      Variable loss = model.BatchLoss(gathered, iota, batch_rng);
-      Backward(loss);
-      const double loss_value = loss.scalar();
-      const double grad_norm =
-          monitor.enabled() ? ParameterGradNorm(model.parameters()) : 0.0;
-      optimizer.Step();
-      model.PostStep();
-      if (monitor.enabled()) {
-        monitor.EndStep(loss_value, grad_norm, step_watch.ElapsedSeconds());
-      }
-      epoch_loss += loss_value;
-      ++steps;
-      ++global_step;
-    }
-    EpochStats stats;
-    stats.epoch = epoch;
-    stats.loss = steps > 0 ? epoch_loss / steps : 0.0;
-    stats.seconds = watch.ElapsedSeconds();
-    if (on_epoch) on_epoch(stats);
-    history.push_back(stats);
-  }
-  return history;
+  return OneRank(options)
+      .RunStreamed(model, source, nullptr, on_epoch)
+      .history;
 }
 
 std::vector<EpochStats> TrainNodeSsl(
@@ -213,7 +106,7 @@ std::vector<EpochStats> TrainNodeSsl(
     {
       obs::TraceScope step_span("train/step");
       monitor.BeginStep(obs::StepContext{epoch, epoch});
-      TapeScope tape;  // step-scoped pooling, as in TrainGraphSsl
+      TapeScope tape;  // step-scoped pooling (tensor/pool.h)
       optimizer.ZeroGrad();
       Variable loss = model.EpochLoss(dataset, rng);
       Backward(loss);

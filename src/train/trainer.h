@@ -2,8 +2,11 @@
 //
 // Models implement one of two small interfaces (graph-level, trained
 // on shuffled mini-batches of graphs; node-level, trained full-graph)
-// and the loops here own shuffling, optimisation, timing, and optional
-// per-epoch callbacks (used by the Fig. 7 trajectory bench).
+// and the loops own shuffling, optimisation, timing, and optional
+// per-epoch callbacks (used by the Fig. 7 trajectory bench). The
+// graph-level loop is the data-parallel one
+// (distributed/data_parallel.h); TrainGraphSsl and
+// TrainGraphSslStreamed run it on one rank, one batch per step.
 
 #ifndef GRADGCL_TRAIN_TRAINER_H_
 #define GRADGCL_TRAIN_TRAINER_H_
@@ -48,7 +51,7 @@ class GraphSslModel : public Module {
   // order (including rng consumption). Then BatchLoss(dataset, batch)
   // == BatchLoss(gathered, iota) bit-for-bit, which is what lets the
   // streaming path (TrainGraphSslStreamed over a GraphBatchSource)
-  // train bit-identically to this in-RAM path.
+  // train bit-identically to the in-RAM path.
   virtual Variable BatchLoss(const std::vector<Graph>& dataset,
                              const std::vector<int>& indices, Rng& rng) = 0;
 
@@ -73,8 +76,9 @@ class NodeSslModel : public Module {
   virtual void PostStep() {}
 };
 
-// Trains a graph-level model with Adam over shuffled mini-batches.
-// `on_epoch` (optional) observes the stats of each finished epoch.
+// Trains a graph-level model with Adam over shuffled mini-batches, one
+// optimizer step per batch. `on_epoch` (optional) observes the stats
+// of each finished epoch.
 std::vector<EpochStats> TrainGraphSsl(
     GraphSslModel& model, const std::vector<Graph>& dataset,
     const TrainOptions& options,
@@ -84,8 +88,8 @@ std::vector<EpochStats> TrainGraphSsl(
 // — the trainer-facing face of the sharded on-disk pipeline
 // (data/prefetch_reader.h implements it by mmap-reading shards on
 // background threads). The trainer plans an epoch's batches up front
-// (same MakeMiniBatches stream as the in-RAM loop), installs the plan
-// with BeginEpoch, then consumes the batches in plan order.
+// (same MakeMiniBatches stream as in RAM), installs the plan with
+// BeginEpoch, then consumes the batches in plan order.
 class GraphBatchSource {
  public:
   virtual ~GraphBatchSource() = default;
@@ -105,9 +109,9 @@ class GraphBatchSource {
   virtual bool NextBatch(std::vector<Graph>* graphs) = 0;
 };
 
-// Streaming twin of TrainGraphSsl: same optimiser, same batch plan,
-// same per-batch Rng streams — only the graphs arrive through `source`
-// instead of a resident vector. With a gather-invariant model (see
+// TrainGraphSsl with the graphs arriving through `source` instead of a
+// resident vector: the same loop, optimiser, batch plan and per-batch
+// Rng streams. With a gather-invariant model (see
 // GraphSslModel::BatchLoss) and a source that reproduces the dataset's
 // graphs bit-for-bit, the loss trajectory is bit-identical to
 // TrainGraphSsl on the same seed, regardless of the source's reader
@@ -129,17 +133,21 @@ std::vector<EpochStats> TrainNodeSsl(
 std::vector<std::vector<int>> MakeMiniBatches(int n, int batch_size, Rng& rng);
 
 // Seed of the per-batch Rng stream: a pure function of (run seed,
-// epoch, batch index within the epoch's plan). Both graph trainers
-// drive batch b of epoch e with Rng(BatchStreamSeed(seed, e, b)) —
+// epoch, batch index within the epoch's plan). The graph-level loop
+// drives batch b of epoch e with Rng(BatchStreamSeed(seed, e, b)) —
 // rather than one sequential stream — so any consumer that knows the
 // plan can reproduce an arbitrary batch's randomness without replaying
-// the batches before it. This is what lets the data-parallel trainer
-// (src/distributed/) evaluate disjoint batches on different ranks
-// bit-identically to this loop: no rank needs to know how much
-// randomness the others consumed. SplitMix64-style avalanche mixing;
-// the run-level Rng(seed) still drives MakeMiniBatches, so plans are
-// unchanged by construction.
+// the batches before it. This is what lets ranks of the data-parallel
+// loop (src/distributed/) evaluate disjoint batches bit-identically to
+// one rank: no rank needs to know how much randomness the others
+// consumed. SplitMix64-style avalanche mixing; the run-level Rng(seed)
+// still drives MakeMiniBatches, so plans are unchanged by construction.
 uint64_t BatchStreamSeed(uint64_t seed, int64_t epoch, int64_t batch);
+
+// L2 norm over all parameter gradients, accumulated serially in
+// parameter order (deterministic) — the grad_norm the training loops
+// report to the collapse monitor when it is on.
+double ParameterGradNorm(const std::vector<Variable>& params);
 
 }  // namespace gradgcl
 

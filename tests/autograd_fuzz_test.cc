@@ -182,7 +182,7 @@ Variable FusedKernelExpression(int kernel, const VarList& inputs, int n,
       // x = v, W = u^T v (d x d), b = u's first row: gradients reach
       // all three operands of the node through upstream ops.
       out = ag::Linear(v, ag::MatMul(ag::Transpose(u), v),
-                       ag::SliceRows(u, 0, 1));
+                       ag::GatherRows(u, {0}));
       probe = probe_nd;
       break;
   }

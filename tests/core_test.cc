@@ -234,7 +234,7 @@ TEST(EuclideanFeaturesTest, Lemma2ChainRule) {
   const Matrix v_val = Matrix::RandomNormal(5, 3, rng);
   Variable w(w_val, true);
   w.ZeroGrad();
-  Variable u = ag::ConstLeftMatMul(x, w);
+  Variable u = ag::MatMul(Variable(x), w);
   Backward(ag::ScalarMul(InfoNceEuclidean(u, Variable(v_val)), 5.0));
   const Matrix g = EuclideanGradientFeatures(MatMul(x, w_val), v_val);
   // dL/dW = X^T G.

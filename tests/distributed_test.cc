@@ -54,6 +54,7 @@
 #include "train/trainer.h"
 
 #include "heap_counter.h"
+#include "vector_batch_source.h"
 
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
@@ -186,35 +187,6 @@ void ExpectMatrixBitEqual(const Matrix& a, const Matrix& b) {
   ASSERT_EQ(a.cols(), b.cols());
   EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(double) * a.size()), 0);
 }
-
-// In-memory GraphBatchSource: gathers planned batches from a resident
-// vector, exactly what PrefetchReader does for shards (data_test pins
-// that equivalence; here it isolates the distributed streaming path).
-class VectorBatchSource : public GraphBatchSource {
- public:
-  explicit VectorBatchSource(std::vector<Graph> data)
-      : data_(std::move(data)) {}
-
-  int64_t num_graphs() const override {
-    return static_cast<int64_t>(data_.size());
-  }
-  void BeginEpoch(const std::vector<std::vector<int>>& batches) override {
-    plan_ = batches;
-    next_ = 0;
-  }
-  bool NextBatch(std::vector<Graph>* graphs) override {
-    if (next_ >= plan_.size()) return false;
-    graphs->clear();
-    for (int idx : plan_[next_]) graphs->push_back(data_[idx]);
-    ++next_;
-    return true;
-  }
-
- private:
-  std::vector<Graph> data_;
-  std::vector<std::vector<int>> plan_;
-  size_t next_ = 0;
-};
 
 // --- 1. Comm ring ---------------------------------------------------------
 

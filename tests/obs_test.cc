@@ -5,11 +5,15 @@
 // analysis, the zero-allocation guarantee of the metrics hot path, and
 // the trainer's bit-identical trajectory with observability on vs off.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +25,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "datasets/tu_synthetic.h"
+#include "distributed/data_parallel.h"
 #include "eval/spectrum.h"
 #include "losses/metrics.h"
 #include "models/graphcl.h"
@@ -32,6 +37,7 @@
 #include "train/trainer.h"
 
 #include "heap_counter.h"
+#include "vector_batch_source.h"
 
 namespace gradgcl {
 namespace {
@@ -514,53 +520,36 @@ TEST_F(CollapseMonitorTest, UnsampledAndDisabledStepsEmitNothing) {
 
 // --- trainer integration ----------------------------------------------------
 
-TEST_F(CollapseMonitorTest, TrainerTrajectoryBitIdenticalWithObsOnAndOff) {
-  TuProfile profile = TuProfileByName("MUTAG");
-  profile.num_graphs = 24;
-  const std::vector<Graph> data = GenerateTuDataset(profile, 2);
-
-  const auto run = [&profile, &data] {
-    Rng rng(6);
-    GraphClConfig config;
-    config.encoder.in_dim = profile.feature_dim;
-    config.encoder.hidden_dim = 8;
-    config.encoder.out_dim = 8;
-    config.proj_dim = 8;
-    config.grad_gcl.weight = 0.5;  // both ℓ_f and ℓ_g live
-    GraphCl model(config, rng);
-    TrainOptions options;
-    options.epochs = 3;
-    options.batch_size = 8;
-    options.lr = 0.02;
-    std::vector<double> losses;
-    for (const EpochStats& e : TrainGraphSsl(model, data, options)) {
-      losses.push_back(e.loss);
-    }
-    return losses;
-  };
-
+// Runs `train` with the monitor off, then with it sampling every step,
+// and memcmps the two trajectories: the monitor is read-only, so
+// observing every step must not change a single bit. Returns the JSONL
+// records of the observed run.
+std::vector<std::string> RecordsOfObservedRun(
+    const std::function<std::vector<double>()>& train, const char* name) {
   obs::CollapseMonitor& monitor = obs::CollapseMonitor::Instance();
   monitor.SetStreamPath("");
-  const std::vector<double> off = run();
+  const std::vector<double> off = train();
 
-  const std::string path = ::testing::TempDir() + "/gradgcl_train.jsonl";
+  const std::string path =
+      ::testing::TempDir() + "/gradgcl_train_" + name + ".jsonl";
   monitor.SetStreamPath(path);
   monitor.set_every(1);
-  const std::vector<double> on = run();
+  const std::vector<double> on = train();
   monitor.CloseStream();
   monitor.SetStreamPath("");
 
-  // The monitor is read-only: observing every step must not change a
-  // single bit of the loss trajectory.
-  ASSERT_EQ(on.size(), off.size());
-  for (size_t i = 0; i < on.size(); ++i) {
+  EXPECT_EQ(on.size(), off.size()) << name;
+  for (size_t i = 0; i < std::min(on.size(), off.size()); ++i) {
     EXPECT_EQ(std::memcmp(&on[i], &off[i], sizeof(double)), 0)
-        << "epoch " << i << ": " << on[i] << " vs " << off[i];
+        << name << " entry " << i << ": " << on[i] << " vs " << off[i];
   }
-
-  // Every step streamed one record with the loss split and diagnostics.
   const std::vector<std::string> lines = SlurpLines(path);
-  EXPECT_EQ(lines.size(), 9u);  // 3 epochs x 3 batches of 8 over 24 graphs
+  std::remove(path.c_str());
+  return lines;
+}
+
+// Every record carries the loss split and the collapse diagnostics.
+void ExpectFullRecords(const std::vector<std::string>& lines) {
   for (const std::string& line : lines) {
     EXPECT_NE(line.find("\"loss\":"), std::string::npos);
     EXPECT_NE(line.find("\"loss_f\":"), std::string::npos);
@@ -570,7 +559,190 @@ TEST_F(CollapseMonitorTest, TrainerTrajectoryBitIdenticalWithObsOnAndOff) {
     EXPECT_NE(line.find("\"uniformity\":"), std::string::npos);
     EXPECT_NE(line.find("\"grad_norm\":"), std::string::npos);
   }
-  std::remove(path.c_str());
+}
+
+// JSONL records with the profiling tail (step_seconds, pool deltas,
+// threads — declared timing-bound) cut off.
+std::vector<std::string> DeterministicFields(std::vector<std::string> lines) {
+  for (std::string& line : lines) {
+    const size_t cut = line.find(",\"step_seconds\":");
+    EXPECT_NE(cut, std::string::npos) << line;
+    if (cut != std::string::npos) line.resize(cut);
+  }
+  return lines;
+}
+
+// The (f+g) model and options of the trainer integration cases.
+std::unique_ptr<GraphCl> MonitoredModel(const TuProfile& profile) {
+  Rng rng(6);
+  GraphClConfig config;
+  config.encoder.in_dim = profile.feature_dim;
+  config.encoder.hidden_dim = 8;
+  config.encoder.out_dim = 8;
+  config.proj_dim = 8;
+  config.grad_gcl.weight = 0.5;  // both ℓ_f and ℓ_g live
+  return std::make_unique<GraphCl>(config, rng);
+}
+
+TrainOptions MonitoredOptions() {
+  TrainOptions options;
+  options.epochs = 3;
+  options.batch_size = 8;
+  options.lr = 0.02;
+  return options;
+}
+
+std::vector<double> EpochLosses(const std::vector<EpochStats>& history) {
+  std::vector<double> losses;
+  for (const EpochStats& e : history) losses.push_back(e.loss);
+  return losses;
+}
+
+// 2 thread ranks x A = 4 over `data`; returns rank 0's step losses
+// followed by rank 1's.
+std::vector<double> TwoRankStepLosses(const TuProfile& profile,
+                                      const std::vector<Graph>& data) {
+  dist::DistOptions opt;
+  opt.train = MonitoredOptions();
+  opt.world_size = 2;
+  opt.micro_batches_per_step = 4;
+  const std::vector<dist::DistResult> results = dist::RunDataParallelRanks(
+      opt, dist::DistBackend::kThread,
+      [&profile](int) { return MonitoredModel(profile); }, data);
+  std::vector<double> losses;
+  for (const dist::DistResult& r : results) {
+    EXPECT_EQ(r.status, dist::CommStatus::kOk);
+    losses.insert(losses.end(), r.step_losses.begin(), r.step_losses.end());
+  }
+  return losses;
+}
+
+TEST_F(CollapseMonitorTest, TrainerTrajectoryBitIdenticalWithObsOnAndOff) {
+  TuProfile profile = TuProfileByName("MUTAG");
+  profile.num_graphs = 24;
+  const std::vector<Graph> data = GenerateTuDataset(profile, 2);
+
+  // 3 epochs x 3 batches of 8 over 24 graphs, one step per batch: every
+  // step streamed one record with the loss split and diagnostics.
+  const std::vector<std::string> in_ram = RecordsOfObservedRun(
+      [&] {
+        std::unique_ptr<GraphCl> model = MonitoredModel(profile);
+        return EpochLosses(TrainGraphSsl(*model, data, MonitoredOptions()));
+      },
+      "in_ram");
+  EXPECT_EQ(in_ram.size(), 9u);
+  ExpectFullRecords(in_ram);
+
+  const std::vector<std::string> streamed = RecordsOfObservedRun(
+      [&] {
+        std::unique_ptr<GraphCl> model = MonitoredModel(profile);
+        VectorBatchSource source(data);
+        return EpochLosses(
+            TrainGraphSslStreamed(*model, source, MonitoredOptions()));
+      },
+      "streamed");
+  // Same loop, same bits: the streamed records match the in-RAM ones up
+  // to the timing-bound profiling tail.
+  EXPECT_EQ(DeterministicFields(streamed), DeterministicFields(in_ram));
+
+  // 2 ranks x A = 4: each epoch's 3 batches are one optimizer step
+  // (rank 0 owns slots 0-1, rank 1 slots 2-3, slot 3 empty). Exactly
+  // one record per optimizer step — not one per rank or micro-batch —
+  // carrying the step's window-mean loss.
+  std::vector<double> two_rank_losses;
+  const std::vector<std::string> two_ranks = RecordsOfObservedRun(
+      [&] {
+        two_rank_losses = TwoRankStepLosses(profile, data);
+        return two_rank_losses;
+      },
+      "two_ranks");
+  ASSERT_EQ(two_rank_losses.size(), 6u);  // 3 steps on each rank
+  ASSERT_EQ(two_ranks.size(), 3u);
+  ExpectFullRecords(two_ranks);
+  for (size_t k = 0; k < two_ranks.size(); ++k) {
+    EXPECT_NE(two_ranks[k].find("\"step\":" + std::to_string(k) +
+                                ",\"epoch\":" + std::to_string(k)),
+              std::string::npos)
+        << two_ranks[k];
+    EXPECT_NE(two_ranks[k].find("\"loss\":" + G17(two_rank_losses[k])),
+              std::string::npos)
+        << two_ranks[k];
+  }
+}
+
+// Per tracing thread: the "train/epoch" and "train/step" spans it
+// recorded. Every step span must lie inside one of its own thread's
+// epoch spans.
+struct TrainSpans {
+  int epochs = 0;
+  int steps = 0;
+};
+
+std::map<uint32_t, TrainSpans> TrainSpansPerThread() {
+  const std::vector<obs::TraceEvent> events = obs::SnapshotTraceEvents();
+  std::map<uint32_t, std::vector<obs::TraceEvent>> epochs;
+  for (const obs::TraceEvent& e : events) {
+    if (std::strcmp(e.name, "train/epoch") == 0) epochs[e.tid].push_back(e);
+  }
+  std::map<uint32_t, TrainSpans> spans;
+  for (const auto& [tid, list] : epochs) {
+    spans[tid].epochs = static_cast<int>(list.size());
+  }
+  for (const obs::TraceEvent& e : events) {
+    if (std::strcmp(e.name, "train/step") != 0) continue;
+    ++spans[e.tid].steps;
+    const std::vector<obs::TraceEvent>& outer = epochs[e.tid];
+    EXPECT_TRUE(std::any_of(
+        outer.begin(), outer.end(), [&e](const obs::TraceEvent& epoch) {
+          return epoch.start_ns <= e.start_ns &&
+                 e.start_ns + e.duration_ns <=
+                     epoch.start_ns + epoch.duration_ns;
+        }))
+        << "step span at " << e.start_ns << " outside every epoch span";
+  }
+  return spans;
+}
+
+TEST_F(TraceTest, EveryGraphTrainingPathNestsOneStepSpanPerOptimizerStep) {
+  TuProfile profile = TuProfileByName("MUTAG");
+  profile.num_graphs = 24;
+  const std::vector<Graph> data = GenerateTuDataset(profile, 2);
+  const auto traced = [](const std::function<void()>& train) {
+    obs::ClearTrace();
+    obs::SetTracingEnabled(true);
+    train();
+    obs::SetTracingEnabled(false);
+    EXPECT_EQ(obs::DroppedTraceEvents(), 0u);
+    return TrainSpansPerThread();
+  };
+
+  // One training thread, 3 epochs x 3 optimizer steps.
+  for (const bool stream : {false, true}) {
+    SCOPED_TRACE(stream ? "TrainGraphSslStreamed" : "TrainGraphSsl");
+    const std::map<uint32_t, TrainSpans> spans = traced([&] {
+      std::unique_ptr<GraphCl> model = MonitoredModel(profile);
+      if (stream) {
+        VectorBatchSource source(data);
+        TrainGraphSslStreamed(*model, source, MonitoredOptions());
+      } else {
+        TrainGraphSsl(*model, data, MonitoredOptions());
+      }
+    });
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans.begin()->second.epochs, 3);
+    EXPECT_EQ(spans.begin()->second.steps, 9);
+  }
+
+  // 2 ranks x A = 4: each rank thread traces its own timeline, one step
+  // span per optimizer step (3 epochs x 1 step), not one per
+  // micro-batch.
+  const std::map<uint32_t, TrainSpans> spans =
+      traced([&] { TwoRankStepLosses(profile, data); });
+  ASSERT_EQ(spans.size(), 2u);
+  for (const auto& [tid, rank] : spans) {
+    EXPECT_EQ(rank.epochs, 3) << "tid " << tid;
+    EXPECT_EQ(rank.steps, 3) << "tid " << tid;
+  }
 }
 
 TEST_F(CollapseMonitorTest, SampledMetricValuesBitIdenticalAcrossThreads) {

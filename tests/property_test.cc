@@ -247,8 +247,8 @@ TEST(RankProperty, GradientLossDiversifiesGradientDirections) {
     for (int step = 0; step < 60; ++step) {
       w.ZeroGrad();
       TwoViewBatch views;
-      views.u = ag::ConstLeftMatMul(x1, w);
-      views.u_prime = ag::ConstLeftMatMul(x2, w);
+      views.u = ag::MatMul(Variable(x1), w);
+      views.u_prime = ag::MatMul(Variable(x2), w);
       Backward(loss(views));
       Matrix update = w.grad();
       update *= 0.1;

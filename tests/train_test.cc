@@ -10,6 +10,8 @@
 #include "train/optimizer.h"
 #include "train/trainer.h"
 
+#include "vector_batch_source.h"
+
 namespace gradgcl {
 namespace {
 
@@ -205,11 +207,24 @@ TEST(TrainerTest, EpochCallbackInvokedInOrder) {
   GraphCl model(config, rng);
   TrainOptions options;
   options.epochs = 3;
-  std::vector<int> epochs_seen;
-  TrainGraphSsl(model, data, options, [&](const EpochStats& stats) {
-    epochs_seen.push_back(stats.epoch);
-  });
-  EXPECT_EQ(epochs_seen, (std::vector<int>{0, 1, 2}));
+  std::vector<EpochStats> seen;
+  const auto record = [&](const EpochStats& stats) { seen.push_back(stats); };
+  // Each epoch is reported once, as it ends: the callback sees exactly
+  // the history the trainer returns, in order.
+  const auto expect_seen = [&](const std::vector<EpochStats>& history) {
+    ASSERT_EQ(seen.size(), 3u);
+    ASSERT_EQ(history.size(), 3u);
+    for (size_t e = 0; e < seen.size(); ++e) {
+      EXPECT_EQ(seen[e].epoch, static_cast<int>(e));
+      EXPECT_EQ(seen[e].loss, history[e].loss);
+      EXPECT_EQ(seen[e].seconds, history[e].seconds);
+    }
+  };
+  expect_seen(TrainGraphSsl(model, data, options, record));
+
+  seen.clear();
+  VectorBatchSource source(data);
+  expect_seen(TrainGraphSslStreamed(model, source, options, record));
 }
 
 }  // namespace
