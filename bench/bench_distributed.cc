@@ -21,8 +21,7 @@
 // trajectory is worthless (same policy as bench_serve / bench_data).
 //
 // Knobs: GRADGCL_BENCH_DIST_GRAPHS (default 256) and
-// GRADGCL_BENCH_DIST_EPOCHS (default 24) size the workload;
-// GRADGCL_DIST_BUCKET_BYTES is honored as documented. Writes
+// GRADGCL_BENCH_DIST_EPOCHS (default 24) size the workload. Writes
 // BENCH_distributed.json.
 
 #include <algorithm>
@@ -53,6 +52,7 @@ using dist::RunDataParallelRanks;
 constexpr double kGradGclWeight = 0.5;
 constexpr uint64_t kModelSeed = 9;
 constexpr int kReps = 5;  // timed repetitions per leg
+constexpr int64_t kBucketBytes = int64_t{1} << 20;  // the trainer default
 
 int64_t EnvCount(const char* name, int64_t fallback, int64_t min) {
   if (const char* env = std::getenv(name)) {
@@ -73,7 +73,7 @@ DistOptions BenchOptions(int epochs) {
   opt.train.lr = 0.01;
   opt.train.seed = 5;
   opt.micro_batches_per_step = 4;
-  opt.bucket_bytes = dist::ResolveDistBucketBytes();
+  opt.bucket_bytes = kBucketBytes;
   return opt;
 }
 
@@ -238,7 +238,7 @@ int main() {
                std::thread::hardware_concurrency(),
                static_cast<long long>(num_graphs), epochs,
                static_cast<long long>(baseline.size()), kGradGclWeight,
-               static_cast<long long>(dist::ResolveDistBucketBytes()), kReps);
+               static_cast<long long>(kBucketBytes), kReps);
   std::fprintf(json, "  \"legs\": [\n");
   for (size_t i = 0; i < legs.size(); ++i) {
     std::fprintf(json,

@@ -1,25 +1,29 @@
-// Table VIII — training-time overhead of the gradient loss. Times one
-// full training epoch of each backbone/dataset pair with a = 0 (raw)
-// and a = 0.5 ((f+g)) using google-benchmark, and prints the overhead
-// ratio. Paper shape: the gradient loss adds ~2–6% wall-clock.
+// Table VIII — training-time overhead of the gradient loss, measured in
+// pairs. Each row is one backbone/dataset pair of the paper's table,
+// plus perfbench's model (perfbench/model_config.h) on 2048
+// PROTEINS-sim graphs. A pair is one raw (a = 0) and one (f+g)
+// (a = 0.5) TrainGraphSsl epoch run back to back. Every epoch trains a
+// fresh model from the same init seed with the same TrainOptions::seed,
+// so both variants see the same batches and augmentations, and the
+// variant that runs first flips every pair, so host drift lands on
+// both sides alike. Per row it reports the median raw and (f+g) epoch
+// time and the median per-pair overhead t_fg / t_raw - 1 with its
+// quartiles, and writes BENCH_table8.json into the current directory.
+// Paper shape: the gradient loss adds ~2-6% wall-clock.
 //
-// A second section profiles the allocation behaviour of the hot path:
-// the Table IV GraphCL(f+g) workload is trained with the pooled tape +
-// fused kernels against the unpooled/unfused baseline, the per-step
-// heap-allocation counts and steps/sec of both legs are compared (loss
-// trajectories must agree bit for bit), and the result is written to
-// BENCH_alloc.json so the perf trajectory is machine-readable.
-
-#include <benchmark/benchmark.h>
+// GRADGCL_NUM_THREADS sets the thread pool as everywhere; the JSON
+// records the count used.
 
 #include <algorithm>
-#include <cstring>
-#include <map>
+#include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_common.h"
-#include "common/stopwatch.h"
-#include "tensor/pool.h"
+#include "model_config.h"  // perfbench's model, seeds and batch size
 #include "tensor/simd.h"
 
 namespace {
@@ -27,208 +31,167 @@ namespace {
 using namespace gradgcl;
 using namespace gradgcl::bench;
 
-struct Pair {
-  const char* dataset;
-  Backbone backbone;
+constexpr int kPairs = 100;       // timed pairs per row
+constexpr int kWarmupPairs = 1;   // untimed, warms the matrix pool
+constexpr double kGradGclWeight = 0.5;
+
+struct Row {
+  std::string backbone;
+  std::string dataset;
+  std::vector<Graph> data;
+  int batch_size = 64;
+  uint64_t train_seed = 5;
+  // A fresh model at GradGCL weight a, always from the same init seed.
+  std::function<std::unique_ptr<GraphSslModel>(double)> make_model;
 };
 
-constexpr Pair kPairs[] = {
-    {"DD", Backbone::kInfoGraph},
-    {"PROTEINS", Backbone::kGraphCl},
-    {"IMDB-B", Backbone::kJoao},
-    {"RDT-B", Backbone::kSimGrace},
-};
-
-const std::vector<Graph>& DatasetFor(const char* name) {
-  static std::map<std::string, std::vector<Graph>>& cache =
-      *new std::map<std::string, std::vector<Graph>>();
-  auto it = cache.find(name);
-  if (it == cache.end()) {
-    it = cache.emplace(name, GenerateTuDataset(TuProfileByName(name), 51))
-             .first;
-  }
-  return it->second;
+Row TableRow(const char* dataset, Backbone backbone) {
+  Row row;
+  row.backbone = BackboneName(backbone);
+  row.dataset = dataset;
+  row.data = GenerateTuDataset(TuProfileByName(dataset), 51);
+  const int in_dim = row.data[0].feature_dim();
+  row.make_model = [backbone, in_dim](double weight) {
+    return MakeGraphModel(backbone, in_dim, weight, 9, 24);
+  };
+  return row;
 }
 
-void BM_TrainEpoch(benchmark::State& state) {
-  const Pair& pair = kPairs[state.range(0)];
-  const double weight = state.range(1) == 0 ? 0.0 : 0.5;
-  const std::vector<Graph>& data = DatasetFor(pair.dataset);
+Row PerfbenchRow() {
+  Row row;
+  row.backbone = "GraphCL (perfbench model)";
+  row.dataset = "PROTEINS-sim x2048";
+  TuProfile profile = TuProfileByName("PROTEINS");
+  profile.num_graphs = 2048;
+  row.data = GenerateTuDataset(profile, perfbench::DataSeed(1));
+  row.batch_size = perfbench::kBatchSize;
+  row.train_seed = perfbench::TrainSeed(1);
+  const int in_dim = row.data[0].feature_dim();
+  row.make_model = [in_dim](double weight) -> std::unique_ptr<GraphSslModel> {
+    GraphClConfig config = perfbench::BenchModelConfig(in_dim);
+    config.grad_gcl.weight = weight;
+    Rng init(perfbench::kModelSeed);
+    return std::make_unique<GraphCl>(config, init);
+  };
+  return row;
+}
 
+// Wall time of one TrainGraphSsl epoch on a fresh model, in ms.
+double EpochMs(const Row& row, double weight) {
+  std::unique_ptr<GraphSslModel> model = row.make_model(weight);
   TrainOptions options;
   options.epochs = 1;
-  options.batch_size = 64;
-  options.seed = 5;
-  for (auto _ : state) {
-    // Fresh model each iteration: epoch cost depends on the weights'
-    // activation sparsity, so timing a progressively-trained model
-    // would bias whichever variant runs more iterations.
-    state.PauseTiming();
-    std::unique_ptr<GraphSslModel> model = MakeGraphModel(
-        pair.backbone, data[0].feature_dim(), weight, 9, 24);
-    state.ResumeTiming();
-    const std::vector<EpochStats> history =
-        TrainGraphSsl(*model, data, options);
-    benchmark::DoNotOptimize(history);
-  }
-  state.SetLabel(std::string(BackboneName(pair.backbone)) +
-                 VariantSuffix(weight) + " / " + pair.dataset);
+  options.batch_size = row.batch_size;
+  options.seed = row.train_seed;
+  return TrainGraphSsl(*model, row.data, options)[0].seconds * 1e3;
 }
 
-// --- Allocation profile -----------------------------------------------------
+// Linear-interpolated quantile q of v (copied, then sorted).
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
 
-// One leg of the pooled/fused A-B comparison: the Table IV GraphCL(f+g)
-// workload on PROTEINS, one warm-up epoch (populates the pool buckets),
-// then `kTimedEpochs` timed epochs with the pool counters snapshotted
-// around them. The full loss trajectory is recorded for the
-// bit-identity check between legs.
-struct AllocLeg {
-  std::vector<double> losses;
-  double steps_per_sec = 0.0;
-  double heap_allocs_per_step = 0.0;
-  double heap_kb_per_step = 0.0;
-  double pool_hits_per_step = 0.0;
+struct RowResult {
+  double raw_ms = 0.0;
+  double fg_ms = 0.0;
+  double overhead_q1 = 0.0, overhead_median = 0.0, overhead_q3 = 0.0;
 };
 
-constexpr int kTimedEpochs = 3;
-
-AllocLeg RunAllocLeg(bool pooled, bool fused) {
-  obs::TraceScope leg_span(pooled ? "alloc_leg/pooled" : "alloc_leg/heap");
-  SetPoolingEnabled(pooled);
-  SetFusedKernelsEnabled(fused);
-  const std::vector<Graph>& data = DatasetFor("PROTEINS");
-  std::unique_ptr<GraphSslModel> model =
-      MakeGraphModel(Backbone::kGraphCl, data[0].feature_dim(), 0.5, 9, 24);
-  TrainOptions options;
-  options.batch_size = 64;
-  options.seed = 5;
-
-  AllocLeg leg;
-  options.epochs = 1;  // warm-up epoch (also part of the trajectory)
-  for (const EpochStats& e : TrainGraphSsl(*model, data, options)) {
-    leg.losses.push_back(e.loss);
+RowResult MeasureRow(const Row& row) {
+  std::vector<double> raw, fg, overhead;
+  for (int pair = 0; pair < kWarmupPairs + kPairs; ++pair) {
+    // Flip the order every pair.
+    double t_raw = 0.0, t_fg = 0.0;
+    if (pair % 2 == 0) {
+      t_raw = EpochMs(row, 0.0);
+      t_fg = EpochMs(row, kGradGclWeight);
+    } else {
+      t_fg = EpochMs(row, kGradGclWeight);
+      t_raw = EpochMs(row, 0.0);
+    }
+    if (pair < kWarmupPairs) continue;
+    raw.push_back(t_raw);
+    fg.push_back(t_fg);
+    overhead.push_back(t_fg / t_raw - 1.0);
   }
-
-  const double steps =
-      kTimedEpochs *
-      ((static_cast<int>(data.size()) + options.batch_size - 1) /
-       options.batch_size);
-  options.epochs = kTimedEpochs;
-  const PoolStats before = MatrixPool::Instance().stats();
-  Stopwatch watch;
-  for (const EpochStats& e : TrainGraphSsl(*model, data, options)) {
-    leg.losses.push_back(e.loss);
-  }
-  const double seconds = watch.ElapsedSeconds();
-  const PoolStats after = MatrixPool::Instance().stats();
-
-  leg.steps_per_sec = steps / seconds;
-  leg.heap_allocs_per_step =
-      static_cast<double>(after.heap_allocs - before.heap_allocs) / steps;
-  leg.heap_kb_per_step =
-      static_cast<double>(after.heap_bytes - before.heap_bytes) / steps /
-      1024.0;
-  leg.pool_hits_per_step =
-      static_cast<double>(after.pool_hits - before.pool_hits) / steps;
-  return leg;
-}
-
-void PrintAllocLeg(const char* name, const AllocLeg& leg) {
-  std::printf("%-22s %12.1f %14.1f %12.1f %14.1f\n", name, leg.steps_per_sec,
-              leg.heap_allocs_per_step, leg.heap_kb_per_step,
-              leg.pool_hits_per_step);
-}
-
-void WriteAllocReport(const char* path) {
-  const bool pooled0 = PoolingEnabled();
-  const bool fused0 = FusedKernelsEnabled();
-
-  std::printf("\nAllocation profile: GraphCL(f+g) / PROTEINS, batch 64, "
-              "%d timed epochs after 1 warm-up epoch\n", kTimedEpochs);
-  std::printf("%-22s %12s %14s %12s %14s\n", "leg", "steps/sec",
-              "heap allocs/st", "heap KiB/st", "pool hits/st");
-  const AllocLeg baseline = RunAllocLeg(/*pooled=*/false, /*fused=*/false);
-  PrintAllocLeg("before (heap, unfused)", baseline);
-  const AllocLeg optimized = RunAllocLeg(/*pooled=*/true, /*fused=*/true);
-  PrintAllocLeg("after (pooled, fused)", optimized);
-  SetPoolingEnabled(pooled0);
-  SetFusedKernelsEnabled(fused0);
-
-  bool loss_bit_identical =
-      baseline.losses.size() == optimized.losses.size() &&
-      std::memcmp(baseline.losses.data(), optimized.losses.data(),
-                  baseline.losses.size() * sizeof(double)) == 0;
-  // A step that averages under one heap allocation is allocation-free
-  // in steady state; clamp so the reduction factor stays finite.
-  const double alloc_reduction =
-      baseline.heap_allocs_per_step /
-      std::max(optimized.heap_allocs_per_step, 1.0);
-  const double speedup = optimized.steps_per_sec / baseline.steps_per_sec;
-  std::printf("heap allocations/step: %.0fx fewer; steps/sec: %.2fx; "
-              "loss trajectory bit-identical: %s\n",
-              alloc_reduction, speedup, loss_bit_identical ? "yes" : "NO");
-
-  std::FILE* json = std::fopen(path, "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"alloc\",\n");
-  std::fprintf(json, "  \"workload\": %s,\n",
-               JsonString("GraphCL(f+g) PROTEINS batch=64").c_str());
-  std::fprintf(json, "  \"timed_epochs\": %d,\n", kTimedEpochs);
-  std::fprintf(json, "  \"simd\": \"%s\",\n",
-               simd::IsaName(simd::ActiveIsa()));
-  const auto leg_json = [json](const char* name, const AllocLeg& leg) {
-    std::fprintf(json,
-                 "  %s: {\"steps_per_sec\": %.3f, "
-                 "\"heap_allocs_per_step\": %.2f, "
-                 "\"heap_kb_per_step\": %.2f, "
-                 "\"pool_hits_per_step\": %.2f},\n",
-                 JsonString(name).c_str(), leg.steps_per_sec,
-                 leg.heap_allocs_per_step, leg.heap_kb_per_step,
-                 leg.pool_hits_per_step);
-  };
-  leg_json("before", baseline);
-  leg_json("after", optimized);
-  std::fprintf(json, "  \"alloc_reduction_x\": %.1f,\n", alloc_reduction);
-  std::fprintf(json, "  \"speedup_x\": %.3f,\n", speedup);
-  std::fprintf(json, "  \"loss_bit_identical\": %s\n}\n",
-               loss_bit_identical ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", path);
+  RowResult r;
+  r.raw_ms = Quantile(raw, 0.5);
+  r.fg_ms = Quantile(fg, 0.5);
+  r.overhead_q1 = Quantile(overhead, 0.25);
+  r.overhead_median = Quantile(overhead, 0.5);
+  r.overhead_q3 = Quantile(overhead, 0.75);
+  return r;
 }
 
 }  // namespace
 
-BENCHMARK(BM_TrainEpoch)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
-    ->Unit(benchmark::kMillisecond)
-    ->MinWarmUpTime(0.05)
-    ->MinTime(0.4);
+int main() {
+  std::vector<Row> rows;
+  rows.push_back(TableRow("DD", Backbone::kInfoGraph));
+  rows.push_back(TableRow("PROTEINS", Backbone::kGraphCl));
+  rows.push_back(TableRow("IMDB-B", Backbone::kJoao));
+  rows.push_back(TableRow("RDT-B", Backbone::kSimGrace));
+  rows.push_back(PerfbenchRow());
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  // Global warm-up: touch every dataset and run one epoch of the
-  // heaviest pair so allocator/page-cache growth doesn't bias the
-  // first benchmarks (raw variants would otherwise look slower than
-  // the later (f+g) ones for reasons unrelated to the gradient loss).
-  for (const Pair& pair : kPairs) {
-    const std::vector<Graph>& data = DatasetFor(pair.dataset);
-    std::unique_ptr<GraphSslModel> model = MakeGraphModel(
-        pair.backbone, data[0].feature_dim(), 0.5, 9, 24);
-    TrainOptions options;
-    options.epochs = 1;
-    options.batch_size = 64;
-    TrainGraphSsl(*model, data, options);
+  const char* isa = simd::IsaName(simd::ActiveIsa());
+  std::printf("Table VIII: per-epoch overhead of the gradient loss, %d "
+              "alternating raw/(f+g) pairs per row, %d threads, %s\n",
+              kPairs, NumThreads(), isa);
+  std::printf("%-28s %-20s %6s %6s %10s %10s %10s %20s\n", "backbone",
+              "dataset", "graphs", "pairs", "raw ms", "(f+g) ms", "overhead",
+              "overhead IQR");
+  std::vector<RowResult> results;
+  for (const Row& row : rows) {
+    const RowResult r = MeasureRow(row);
+    std::printf("%-28s %-20s %6zu %6d %10.1f %10.1f %+9.1f%% "
+                "[%+6.1f%%, %+6.1f%%]\n",
+                row.backbone.c_str(), row.dataset.c_str(), row.data.size(),
+                kPairs, r.raw_ms, r.fg_ms, 100.0 * r.overhead_median,
+                100.0 * r.overhead_q1, 100.0 * r.overhead_q3);
+    std::fflush(stdout);
+    results.push_back(r);
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  WriteAllocReport("BENCH_alloc.json");
-  gradgcl::bench::FinishObservability();
-  std::printf(
-      "\nTable VIII reading: compare each backbone's (f+g) row against "
-      "its raw row — the gradient loss should add a single-digit "
-      "percentage of wall-clock per epoch (paper: +2-6%%).\n");
+
+  const char* path = "BENCH_table8.json";
+  std::FILE* json = std::fopen(path, "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path);
+    return 1;
+  }
+  std::fprintf(json,
+               "{\n  \"bench\": \"table8\",\n"
+               "  \"hardware_threads\": %u,\n  \"threads\": %d,\n"
+               "  \"isa\": \"%s\",\n  \"build_type\": \"%s\",\n"
+               "  \"grad_gcl_weight\": %.1f,\n"
+               "  \"protocol\": %s,\n  \"rows\": [\n",
+               std::thread::hardware_concurrency(), NumThreads(), isa,
+               GRADGCL_BUILD_TYPE, kGradGclWeight,
+               JsonString("per pair: one raw and one (f+g) TrainGraphSsl "
+                          "epoch on fresh models with the same init and "
+                          "train seeds, order flipped every pair; overhead "
+                          "= t_fg / t_raw - 1 per pair")
+                   .c_str());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    const RowResult& r = results[i];
+    std::fprintf(json,
+                 "    {\"backbone\": %s, \"dataset\": %s, \"num_graphs\": %zu, "
+                 "\"batch_size\": %d, \"pairs\": %d, \"raw_ms\": %.2f, "
+                 "\"fg_ms\": %.2f, \"overhead_median\": %.4f, "
+                 "\"overhead_q1\": %.4f, \"overhead_q3\": %.4f}%s\n",
+                 JsonString(row.backbone).c_str(),
+                 JsonString(row.dataset).c_str(), row.data.size(),
+                 row.batch_size, kPairs, r.raw_ms, r.fg_ms,
+                 r.overhead_median, r.overhead_q1, r.overhead_q3,
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(json, "  ]\n}\n");
+  std::fclose(json);
+  std::printf("wrote %s\n", path);
+  FinishObservability();
   return 0;
 }

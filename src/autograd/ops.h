@@ -47,8 +47,8 @@ Variable SparseLeftMatMul(const SparseMatrix& s, const Variable& a);
 // to AddRowBroadcast(MatMul(x, w), b) in every SIMD mode and at every
 // thread count (tests/pool_test.cc), with one n x d buffer on the tape
 // instead of two. Backward reads the output gradient directly: ColSum
-// for b, G w^T for x, x^T G for w. Not switched by GRADGCL_FUSED; the
-// composition survives only as the tests' reference.
+// for b, G w^T for x, x^T G for w. The composition survives only as
+// the tests' reference.
 Variable Linear(const Variable& x, const Variable& w, const Variable& b);
 
 Variable Transpose(const Variable& a);

@@ -6,95 +6,24 @@
 
 #include "common/parallel.h"
 #include "tensor/ops.h"
-#include "tensor/pool.h"
 
 namespace gradgcl {
 
-namespace {
-
-Matrix OffDiagonalMask(int n) {
-  Matrix mask(n, n, 1.0);
-  for (int i = 0; i < n; ++i) mask(i, i) = 0.0;
-  return mask;
-}
-
-}  // namespace
-
-Variable InfoNceGradientFeaturesUnfused(const Variable& u, const Variable& v,
-                                        double tau) {
-  GRADGCL_CHECK(u.rows() == v.rows() && u.cols() == v.cols());
-  const int n = u.rows();
-  GRADGCL_CHECK_MSG(n >= 2, "gradient features need >= 2 samples");
-  GRADGCL_CHECK(tau > 0.0);
-  const double inv_tau = 1.0 / tau;
-
-  // The loss being differentiated (Eq. 4) uses cosine similarity, i.e.
-  // it acts on L2-normalised representations — Eq. 6's u, v are those
-  // unit vectors. Normalising here also keeps every exp() bounded by
-  // e^{1/τ}.
-  const Variable un = ag::RowNormalize(u);
-  const Variable vn = ag::RowNormalize(v);
-
-  // Within-view similarities s_ij = û_i·û_j / τ, masked off-diagonal.
-  Variable s = ag::ScalarMul(ag::MatMulTransB(un, un), inv_tau);  // n x n
-  const Matrix mask = OffDiagonalMask(n);
-  Variable exp_s = ag::Hadamard(ag::Exp(s), Variable(mask));    // kills diag
-  // Partition function. The paper writes Z(u_i) = Σ_{j≠i} exp(s_ij),
-  // but the coefficient structure (1 − exp(p)/Z) of Eq. 6 — and the
-  // paper's observations 1–2 (positive pull shrinks with alignment,
-  // never flips sign) — require the positive term inside Z, i.e. the
-  // standard InfoNCE softmax denominator. We include it; see DESIGN.md.
-  Variable p = ag::ScalarMul(ag::RowPairDot(un, vn), inv_tau);  // n x 1
-  Variable exp_p = ag::Exp(p);
-  Variable z = ag::Add(ag::SumRows(exp_s), exp_p);              // n x 1
-  Variable inv_z = ag::Reciprocal(z);
-
-  // Positive coefficient (1 − exp(p_i)/Z_i)/τ ∈ (0, 1/τ).
-  Variable pos_ratio = ag::Hadamard(exp_p, inv_z);              // n x 1
-  Variable pos_coeff =
-      ag::ScalarMul(ag::ScalarAdd(ag::Neg(pos_ratio), 1.0), inv_tau);
-  Variable positive_term = ag::ScaleRowsVar(vn, pos_coeff);     // n x d
-
-  // Negative term: Σ_{j≠i} α_ij û_j / τ with α_ij = exp(s_ij)/Z_i.
-  Variable alpha = ag::ScaleRowsVar(exp_s, inv_z);              // n x n
-  Variable negative_term = ag::ScalarMul(ag::MatMul(alpha, un), inv_tau);
-
-  return ag::Sub(positive_term, negative_term);
-}
-
-Variable JsdGradientFeaturesUnfused(const Variable& u, const Variable& v) {
-  GRADGCL_CHECK(u.rows() == v.rows() && u.cols() == v.cols());
-  const int n = u.rows();
-  GRADGCL_CHECK_MSG(n >= 2, "gradient features need >= 2 samples");
-
-  Variable scores = ag::MatMulTransB(u, v);                       // n x n
-  Variable pos = ag::RowPairDot(u, v);                            // n x 1
-  // Positive pull: −σ(−s_ii)/n · v_i.
-  Variable pos_coeff =
-      ag::ScalarMul(ag::Sigmoid(ag::Neg(pos)), -1.0 / n);
-  Variable positive_term = ag::ScaleRowsVar(v, pos_coeff);
-  // Negative push: Σ_{j≠i} σ(s_ij) v_j / (n(n−1)).
-  const Matrix mask = OffDiagonalMask(n);
-  Variable sig = ag::Hadamard(ag::Sigmoid(scores), Variable(mask));
-  Variable negative_term = ag::ScalarMul(
-      ag::MatMul(sig, v), 1.0 / (static_cast<double>(n) * (n - 1)));
-  return ag::Add(positive_term, negative_term);
-}
-
 Variable InfoNceGradientFeatures(const Variable& u, const Variable& v,
                                  double tau) {
-  if (!FusedKernelsEnabled()) return InfoNceGradientFeaturesUnfused(u, v, tau);
   GRADGCL_CHECK(u.rows() == v.rows() && u.cols() == v.cols());
   GRADGCL_CHECK_MSG(u.rows() >= 2, "gradient features need >= 2 samples");
   GRADGCL_CHECK(tau > 0.0);
   const double inv_tau = 1.0 / tau;
 
-  // Same graph as the unfused path above with the single-consumer op
-  // chains collapsed into fused nodes: no n x n mask, no unmasked exp,
-  // no stored alpha. Values and gradients are bit-identical (the fused
-  // backward closures replay the unfused rounding sequence, and the
-  // per-node gradient accumulation order is preserved — see
-  // autograd/ops.cc and tests/pool_test.cc).
+  // Eq. 4 uses cosine similarity, so Eq. 6's u, v are the L2-normalised
+  // rows, which also bounds every exp() by e^{1/τ}. Z_i includes the
+  // positive term (the standard InfoNCE denominator; see DESIGN.md).
+  // This is the op-by-op composition in tests/loss_reference.h with its
+  // single-consumer chains fused (no n x n mask, no unmasked exp, no
+  // stored α); the fused nodes replay its rounding and per-node
+  // gradient accumulation order, so values and gradients are
+  // bit-identical (tests/pool_test.cc).
   Variable un;
   Variable s = ag::CosineGram(u, inv_tau, &un);                 // n x n
   const Variable vn = ag::RowNormalize(v);
@@ -116,7 +45,6 @@ Variable InfoNceGradientFeatures(const Variable& u, const Variable& v,
 }
 
 Variable JsdGradientFeatures(const Variable& u, const Variable& v) {
-  if (!FusedKernelsEnabled()) return JsdGradientFeaturesUnfused(u, v);
   GRADGCL_CHECK(u.rows() == v.rows() && u.cols() == v.cols());
   const int n = u.rows();
   GRADGCL_CHECK_MSG(n >= 2, "gradient features need >= 2 samples");

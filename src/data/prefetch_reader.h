@@ -36,8 +36,8 @@ namespace gradgcl::data {
 struct PrefetchOptions {
   // Background reader threads decoding graphs. >= 1.
   int num_threads = 1;
-  // In-flight batch buffers; 0 = GRADGCL_PREFETCH_DEPTH (default 2,
-  // i.e. classic double buffering: one consumed, one filling).
+  // In-flight batch buffers; 0 = the default 2, classic double
+  // buffering: one consumed, one filling.
   int depth = 0;
 };
 

@@ -21,6 +21,9 @@ namespace {
 
 bool IsPow2(int64_t x) { return x > 0 && (x & (x - 1)) == 0; }
 
+// All-reduce bucket size when DistOptions::bucket_bytes is 0.
+constexpr int64_t kDefaultBucketBytes = int64_t{1} << 20;
+
 // Where a rank's micro-batches come from. `owned` lists the epoch-plan
 // batch indices this rank will evaluate, in consumption order; Loss is
 // then called exactly once per owned index, in that order.
@@ -140,7 +143,7 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
   GRADGCL_CHECK_MSG(A % W == 0,
                     "micro_batches_per_step must be divisible by world size");
   const int B = A / W;  // slots owned by this rank per window
-  if (opt.bucket_bytes <= 0) opt.bucket_bytes = ResolveDistBucketBytes();
+  if (opt.bucket_bytes <= 0) opt.bucket_bytes = kDefaultBucketBytes;
   if (comm != nullptr) comm->set_timeout_millis(opt.timeout_millis);
   GRADGCL_CHECK(n >= 2);
 
@@ -381,15 +384,6 @@ DistBackend ResolveDistBackend() {
     return DistBackend::kSocket;
   }
   return DistBackend::kThread;
-}
-
-int64_t ResolveDistBucketBytes() {
-  const char* env = std::getenv("GRADGCL_DIST_BUCKET_BYTES");
-  if (env == nullptr) return 1 << 20;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || v < 8) return 1 << 20;
-  return static_cast<int64_t>(v);
 }
 
 namespace {

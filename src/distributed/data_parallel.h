@@ -52,7 +52,6 @@
 // Env knobs (read when the corresponding option is 0 / empty):
 //   GRADGCL_DIST_RANKS        world size for RunDataParallelRanks
 //   GRADGCL_DIST_BACKEND      "thread" (default) | "socket"
-//   GRADGCL_DIST_BUCKET_BYTES all-reduce bucket size (default 1 MiB)
 
 #ifndef GRADGCL_DISTRIBUTED_DATA_PARALLEL_H_
 #define GRADGCL_DISTRIBUTED_DATA_PARALLEL_H_
@@ -76,7 +75,8 @@ struct DistOptions {
   // Micro-batches per optimizer step (A). Power of two, divisible by
   // the world size. A = 1, W = 1 is TrainGraphSsl.
   int micro_batches_per_step = 4;
-  // 0 resolves GRADGCL_DIST_BUCKET_BYTES (default 1 MiB).
+  // All-reduce bucket size in bytes; 0 = 1 MiB. Changes message sizes
+  // only, never bits.
   int64_t bucket_bytes = 0;
   // Deadline for every blocking comm operation.
   int64_t timeout_millis = 30000;
@@ -134,8 +134,6 @@ enum class DistBackend { kThread, kSocket };
 int ResolveDistRanks();
 // GRADGCL_DIST_BACKEND: "socket" => kSocket; anything else => kThread.
 DistBackend ResolveDistBackend();
-// GRADGCL_DIST_BUCKET_BYTES: >= 8; anything else => 1 MiB.
-int64_t ResolveDistBucketBytes();
 
 // --- Multi-rank harness ---------------------------------------------------
 

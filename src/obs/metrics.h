@@ -22,7 +22,7 @@
 // the trainer / pool / parallel substrate: it is on when GRADGCL_METRICS
 // names a JSONL output path (see obs/collapse.h) or after
 // SetMetricsEnabled(true). When off, every built-in hook reduces to one
-// relaxed atomic load — BENCH_alloc.json-visible behaviour is unchanged.
+// relaxed atomic load, and per-step allocation counts are unchanged.
 // The registry itself always works; tests and custom callers may use it
 // regardless of the flag.
 

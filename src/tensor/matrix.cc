@@ -22,7 +22,7 @@ void Matrix::Allocate(int rows, int cols) {
     pooled_ = false;
     return;
   }
-  if (TapeScope::Active() && PoolingEnabled()) {
+  if (TapeScope::Active()) {
     data_ = MatrixPool::Instance().Acquire(n, &capacity_);
     pooled_ = true;
   } else {
@@ -77,6 +77,7 @@ Matrix& Matrix::operator=(const Matrix& other) {
   // Reuse the existing buffer when it is big enough: assignment into a
   // warm Matrix then costs a copy, not an allocation.
   if (n > 0 && capacity_ >= n) {
+    if (pooled_) MatrixPool::MarkLive(data_, capacity_, n);
     rows_ = other.rows_;
     cols_ = other.cols_;
     std::memcpy(data_, other.data_, sizeof(double) * n);

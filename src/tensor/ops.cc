@@ -334,8 +334,8 @@ Matrix RowMax(const Matrix& a) {
 // ((b0+b1)+(b2+b3))+... — the same fixed-shape combine the SIMD lane
 // chains pin. Leaves and combine strips may execute on any thread in
 // any order; the per-column reduction order never changes, so ColSum
-// is bit-identical for every pool size (including 1) and both values
-// of GRADGCL_POOL.
+// is bit-identical for every pool size (including 1), on pooled and
+// heap buffers alike.
 namespace {
 constexpr int64_t kColReduceBlock = 64;
 }  // namespace

@@ -1,8 +1,8 @@
 #include "tensor/pool.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -49,25 +49,6 @@ std::atomic<uint64_t> g_heap_allocs{0};
 std::atomic<uint64_t> g_heap_bytes{0};
 std::atomic<uint64_t> g_pool_hits{0};
 std::atomic<uint64_t> g_acquires{0};
-
-bool EnvFlagDefaultOn(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return true;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
-bool EnvFlagDefaultOff(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && !(v[0] == '0' && v[1] == '\0');
-}
-
-std::atomic<bool> g_pooling_enabled{EnvFlagDefaultOn("GRADGCL_POOL")};
-std::atomic<bool> g_fused_enabled{EnvFlagDefaultOn("GRADGCL_FUSED")};
-
-bool ProfileAllocEnabled() {
-  static const bool enabled = EnvFlagDefaultOff("GRADGCL_PROFILE_ALLOC");
-  return enabled;
-}
 
 thread_local bool t_tape_scope_active = false;
 
@@ -116,25 +97,36 @@ double* MatrixPool::Acquire(size_t n, size_t* capacity) {
   const size_t cap = size_t{1} << idx;
   *capacity = cap;
   g_acquires.fetch_add(1, std::memory_order_relaxed);
+  double* ptr = nullptr;
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     std::vector<double*>& bucket = impl_->buckets[idx];
     if (!bucket.empty()) {
-      double* ptr = bucket.back();
+      ptr = bucket.back();
       bucket.pop_back();
-      g_pool_hits.fetch_add(1, std::memory_order_relaxed);
-      return ptr;
     }
   }
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_heap_bytes.fetch_add(cap * sizeof(double), std::memory_order_relaxed);
-  return AlignedAlloc(cap);
+  if (ptr != nullptr) {
+    g_pool_hits.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_heap_bytes.fetch_add(cap * sizeof(double), std::memory_order_relaxed);
+    ptr = AlignedAlloc(cap);
+  }
+  MarkLive(ptr, cap, n);
+  return ptr;
 }
 
 void MatrixPool::Release(double* ptr, size_t capacity) noexcept {
+  ASAN_POISON_MEMORY_REGION(ptr, capacity * sizeof(double));
   const int idx = BucketIndex(capacity);
   std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->buckets[idx].push_back(ptr);
+}
+
+void MatrixPool::MarkLive(double* ptr, size_t capacity, size_t n) noexcept {
+  ASAN_UNPOISON_MEMORY_REGION(ptr, n * sizeof(double));
+  ASAN_POISON_MEMORY_REGION(ptr + n, (capacity - n) * sizeof(double));
 }
 
 double* MatrixPool::HeapAlloc(size_t n) {
@@ -187,54 +179,22 @@ size_t MatrixPool::CachedBytes() const {
   return bytes;
 }
 
-bool PoolingEnabled() {
-  return g_pooling_enabled.load(std::memory_order_relaxed);
-}
-
-void SetPoolingEnabled(bool enabled) {
-  g_pooling_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool FusedKernelsEnabled() {
-  return g_fused_enabled.load(std::memory_order_relaxed);
-}
-
-void SetFusedKernelsEnabled(bool enabled) {
-  g_fused_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 TapeScope::TapeScope() : prev_(t_tape_scope_active) {
   t_tape_scope_active = true;
-  if (!prev_ && (ProfileAllocEnabled() || obs::MetricsEnabled())) {
+  if (!prev_ && obs::MetricsEnabled()) {
     entry_ = MatrixPool::Instance().stats();
   }
 }
 
 TapeScope::~TapeScope() {
   t_tape_scope_active = prev_;
-  if (prev_) return;
-  const bool profile = ProfileAllocEnabled();
-  const bool metrics = obs::MetricsEnabled();
-  if (!profile && !metrics) return;
+  if (prev_ || !obs::MetricsEnabled()) return;
   const PoolStats now = MatrixPool::Instance().stats();
-  if (metrics) {
-    PoolMetrics& pm = GetPoolMetrics();
-    pm.heap_allocs.Add(now.heap_allocs - entry_.heap_allocs);
-    pm.heap_bytes.Add(now.heap_bytes - entry_.heap_bytes);
-    pm.pool_hits.Add(now.pool_hits - entry_.pool_hits);
-    pm.acquires.Add(now.acquires - entry_.acquires);
-  }
-  if (profile) {
-    std::fprintf(stderr,
-                 "[gradgcl alloc] step: %llu heap allocs (%llu bytes), "
-                 "%llu pool hits\n",
-                 static_cast<unsigned long long>(now.heap_allocs -
-                                                 entry_.heap_allocs),
-                 static_cast<unsigned long long>(now.heap_bytes -
-                                                 entry_.heap_bytes),
-                 static_cast<unsigned long long>(now.pool_hits -
-                                                 entry_.pool_hits));
-  }
+  PoolMetrics& pm = GetPoolMetrics();
+  pm.heap_allocs.Add(now.heap_allocs - entry_.heap_allocs);
+  pm.heap_bytes.Add(now.heap_bytes - entry_.heap_bytes);
+  pm.pool_hits.Add(now.pool_hits - entry_.pool_hits);
+  pm.acquires.Add(now.acquires - entry_.acquires);
 }
 
 bool TapeScope::Active() { return t_tape_scope_active; }

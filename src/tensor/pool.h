@@ -27,10 +27,16 @@
 //
 // Instrumentation: the pool keeps process-wide counters of every
 // matrix-buffer heap allocation (pooled misses and unpooled allocs
-// alike), bytes, and pool hits. Setting GRADGCL_PROFILE_ALLOC=1 in the
-// environment makes every TapeScope print its per-step allocation
-// delta to stderr; benches read the counters directly
-// (bench_table8_efficiency writes BENCH_alloc.json from them).
+// alike), bytes, and pool hits. With obs metrics on, each outermost
+// TapeScope adds its step's delta to the pool/* counters, and the
+// collapse monitor's JSONL records it per step; benches read the
+// counters directly.
+//
+// AddressSanitizer: in an ASAN build every buffer in a free list is
+// poisoned, and so is the unused tail [n, capacity) of every live
+// pooled buffer, so a read of a released buffer or past the end of a
+// pooled matrix is reported like the same access to a heap buffer.
+// Outside ASAN the hooks compile to nothing.
 
 #ifndef GRADGCL_TENSOR_POOL_H_
 #define GRADGCL_TENSOR_POOL_H_
@@ -64,6 +70,11 @@ class MatrixPool {
   // Returns a buffer obtained from Acquire to its free list.
   void Release(double* ptr, size_t capacity) noexcept;
 
+  // Marks [0, n) of a live pooled buffer usable and [n, capacity)
+  // unused, for a Matrix that reuses its buffer at a new size (a no-op
+  // outside ASAN builds).
+  static void MarkLive(double* ptr, size_t capacity, size_t n) noexcept;
+
   // Unpooled allocation of exactly n doubles, counted in the stats so
   // the profiler sees every matrix-buffer heap allocation. Pairs with
   // HeapFree.
@@ -92,25 +103,10 @@ class MatrixPool {
   Impl* impl_;
 };
 
-// Master switch for pooled allocation (default on; GRADGCL_POOL=0
-// disables). With pooling off TapeScope still tracks per-step stats,
-// so the unpooled baseline is measurable in the same process.
-bool PoolingEnabled();
-void SetPoolingEnabled(bool enabled);
-
-// Switch for the fused GradGCL loss kernels (CosineGram,
-// MaskedExpRowSum, ScaleRowsMatMul, ...; default on, GRADGCL_FUSED=0
-// falls back to the unfused op compositions). Both paths are
-// bit-identical — the switch exists for A/B benchmarking and the
-// equivalence tests.
-bool FusedKernelsEnabled();
-void SetFusedKernelsEnabled(bool enabled);
-
 // RAII marker the trainer opens around each optimization step: while
-// a TapeScope is active on the current thread (and PoolingEnabled()),
-// Matrix buffers allocated on this thread come from the pool. Scopes
-// nest; the outermost one reports the step's allocation delta when
-// GRADGCL_PROFILE_ALLOC=1.
+// a TapeScope is active on the current thread, Matrix buffers
+// allocated on this thread come from the pool. Scopes nest; the
+// outermost one feeds the pool/* counters when obs metrics are on.
 class TapeScope {
  public:
   TapeScope();
@@ -124,7 +120,7 @@ class TapeScope {
 
  private:
   bool prev_;
-  PoolStats entry_;  // snapshot for the GRADGCL_PROFILE_ALLOC report
+  PoolStats entry_;  // snapshot for the pool/* metrics
 };
 
 }  // namespace gradgcl

@@ -126,8 +126,8 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, SharedSubexpression,
 // --- Fused-kernel fuzzing ---------------------------------------------------
 //
 // The six fused kernels of the loss pipeline and the fused Linear
-// node, gradient-checked on random shapes, with the matrix pool both
-// on and off (pooled buffers are recycled mid-graph, so a
+// node, gradient-checked on random shapes, inside and outside a
+// TapeScope (pooled buffers are recycled mid-graph, so a
 // stale-aliasing bug would only show up on the pooled leg). Each kernel
 // output is scalarised through a fixed random probe
 // (Sum(Hadamard(out, probe))) so every output entry contributes its own
@@ -198,23 +198,15 @@ Variable FusedKernelExpression(int kernel, const VarList& inputs, int n,
 class FusedKernelFuzz
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool, bool>> {
  protected:
-  void SetUp() override {
-    pooled_ = PoolingEnabled();
-    simd_ = simd::Enabled();
-  }
-  void TearDown() override {
-    SetPoolingEnabled(pooled_);
-    simd::SetEnabled(simd_);
-  }
+  void SetUp() override { simd_ = simd::Enabled(); }
+  void TearDown() override { simd::SetEnabled(simd_); }
 
  private:
-  bool pooled_ = false;
   bool simd_ = true;
 };
 
 TEST_P(FusedKernelFuzz, FusedKernelsGradCheck) {
   const auto [seed, pooled, simd_on] = GetParam();
-  SetPoolingEnabled(pooled);
   // The SIMD leg drives gradcheck through the vectorized fused kernels
   // (FMA-chain GEMM, laned dots); the scalar leg pins the fallback.
   simd::SetEnabled(simd_on);

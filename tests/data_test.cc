@@ -817,21 +817,13 @@ TEST(PrefetchReaderTest, SupportsBackToBackEpochs) {
   EXPECT_EQ(reader.graphs_read(), total_items);
 }
 
-TEST(PrefetchReaderTest, DepthDefaultsFromEnvironment) {
+TEST(PrefetchReaderTest, DepthDefaultsToDoubleBuffering) {
   std::vector<Graph> originals;
-  const std::string dir = PrefetchDatasetDir("pf_env", &originals);
+  const std::string dir = PrefetchDatasetDir("pf_default", &originals);
   ShardedDataset ds;
   ASSERT_TRUE(ds.Open(dir));
-  ::setenv("GRADGCL_PREFETCH_DEPTH", "3", 1);
-  {
-    PrefetchReader reader(ds);
-    EXPECT_EQ(reader.depth(), 3);
-  }
-  ::unsetenv("GRADGCL_PREFETCH_DEPTH");
-  {
-    PrefetchReader reader(ds);
-    EXPECT_EQ(reader.depth(), 2);  // double buffering
-  }
+  PrefetchReader reader(ds);
+  EXPECT_EQ(reader.depth(), 2);
 }
 
 TEST(PrefetchReaderTest, CorruptShardSurfacesAsNextBatchFailure) {

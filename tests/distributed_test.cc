@@ -11,10 +11,11 @@
 //   3. Data-parallel training — 2- and 4-rank runs are bit-identical
 //      (losses memcmp, final checkpoint file memcmp) to the
 //      single-process run over >= 50 optimizer steps on both
-//      transports; A = 1, W = 1 reproduces TrainGraphSsl exactly; the
-//      streamed path reproduces the in-RAM path; GRADGCL_DIST_* env
-//      knobs resolve and reshape the world (the TSAN verify legs run
-//      this battery at ranks 2 and 4 on both backends).
+//      transports; at A = 1, W = 1 both TrainGraphSsl and the
+//      data-parallel trainer reproduce a plain step loop written in
+//      this file exactly; the streamed path reproduces the in-RAM path;
+//      GRADGCL_DIST_* env knobs resolve and reshape the world (the TSAN
+//      verify legs run this battery at ranks 2 and 4 on both backends).
 //   4. Checkpoint/resume — "GGCK" round-trip preserves every field; a
 //      byte-patched corruption battery rejects with a clean false and
 //      ZERO heap allocations (the data_test idiom); resuming at step k
@@ -51,6 +52,7 @@
 #include "distributed/data_parallel.h"
 #include "distributed/ring_allreduce.h"
 #include "models/graphcl.h"
+#include "tensor/pool.h"
 #include "train/trainer.h"
 
 #include "heap_counter.h"
@@ -449,17 +451,57 @@ TEST(DataParallelTest, MultiRankBitIdenticalToSingleProcessOverFiftySteps) {
   }
 }
 
-TEST(DataParallelTest, AccumOneSingleRankReproducesTrainGraphSsl) {
+// The graph-level step loop written out plainly, without obs hooks:
+// Adam, one MakeMiniBatches plan per epoch, and per batch its own
+// BatchStreamSeed stream and TapeScope around BatchLoss, Backward,
+// Step and PostStep. Returns each epoch's mean step loss.
+std::vector<double> PlainLoopEpochLosses(GraphSslModel& model,
+                                         const std::vector<Graph>& dataset,
+                                         const TrainOptions& options) {
+  Adam optimizer(model.parameters(), options.lr, 0.9, 0.999, 1e-8,
+                 options.weight_decay);
+  Rng rng(options.seed);
+  std::vector<double> losses;
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    optimizer.set_lr(
+        ScheduledLr(options.schedule, options.lr, epoch, options.epochs));
+    const std::vector<std::vector<int>> plan = MakeMiniBatches(
+        static_cast<int>(dataset.size()), options.batch_size, rng);
+    double epoch_loss = 0.0;
+    for (size_t b = 0; b < plan.size(); ++b) {
+      Rng batch_rng(BatchStreamSeed(options.seed, epoch,
+                                    static_cast<int64_t>(b)));
+      TapeScope tape;
+      optimizer.ZeroGrad();
+      Variable loss = model.BatchLoss(dataset, plan[b], batch_rng);
+      Backward(loss);
+      epoch_loss += loss.scalar();
+      optimizer.Step();
+      model.PostStep();
+    }
+    losses.push_back(epoch_loss / static_cast<double>(plan.size()));
+  }
+  return losses;
+}
+
+TEST(DataParallelTest, SingleRankTrainersMatchPlainStepLoopBitwise) {
   const std::vector<Graph> data = TestDataset();
   TrainOptions train;
   train.epochs = 6;
   train.batch_size = 16;  // 3 batches/epoch, one step each at A = 1
   train.lr = 0.02;
   train.seed = 6;
+  train.schedule = LrSchedule::kCosine;
+
+  auto plain_model = MakeModel();
+  const std::vector<double> plain =
+      PlainLoopEpochLosses(*plain_model, data, train);
 
   auto classic_model = MakeModel();
-  const std::vector<EpochStats> classic =
-      TrainGraphSsl(*classic_model, data, train);
+  std::vector<double> classic;
+  for (const EpochStats& e : TrainGraphSsl(*classic_model, data, train)) {
+    classic.push_back(e.loss);
+  }
 
   DistOptions opt;
   opt.train = train;
@@ -468,17 +510,21 @@ TEST(DataParallelTest, AccumOneSingleRankReproducesTrainGraphSsl) {
   auto dist_model = MakeModel();
   DataParallelTrainer trainer(opt);
   const DistResult result = trainer.Run(*dist_model, data, nullptr);
-
   ASSERT_EQ(result.status, CommStatus::kOk);
-  ASSERT_EQ(result.history.size(), classic.size());
-  for (size_t e = 0; e < classic.size(); ++e) {
-    EXPECT_EQ(result.history[e].loss, classic[e].loss) << "epoch " << e;
-  }
+  std::vector<double> dist;
+  for (const EpochStats& e : result.history) dist.push_back(e.loss);
+
+  ASSERT_EQ(plain.size(), static_cast<size_t>(train.epochs));
+  ExpectLossesBitEqual(classic, plain);
+  ExpectLossesBitEqual(dist, plain);
+  const auto& ref = plain_model->parameters();
   const auto& a = classic_model->parameters();
   const auto& b = dist_model->parameters();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t k = 0; k < a.size(); ++k) {
-    ExpectMatrixBitEqual(a[k].value(), b[k].value());
+  ASSERT_EQ(a.size(), ref.size());
+  ASSERT_EQ(b.size(), ref.size());
+  for (size_t k = 0; k < ref.size(); ++k) {
+    ExpectMatrixBitEqual(a[k].value(), ref[k].value());
+    ExpectMatrixBitEqual(b[k].value(), ref[k].value());
   }
 }
 
@@ -515,7 +561,6 @@ TEST(DataParallelTest, EnvConfiguredWorldBitIdenticalToSingleRank) {
 
   DistOptions base = SmallOptions(/*epochs=*/6);  // 12 steps
   base.world_size = 1;
-  base.bucket_bytes = ResolveDistBucketBytes();
   auto base_model = MakeModel();
   DataParallelTrainer base_trainer(base);
   const DistResult ref = base_trainer.Run(*base_model, data, nullptr);
@@ -562,18 +607,6 @@ TEST(DataParallelTest, EnvKnobsResolveAndRejectGarbage) {
   {
     EnvVarGuard g("GRADGCL_DIST_BACKEND", "carrier-pigeon");
     EXPECT_EQ(ResolveDistBackend(), DistBackend::kThread);
-  }
-  {
-    EnvVarGuard g("GRADGCL_DIST_BUCKET_BYTES", nullptr);
-    EXPECT_EQ(ResolveDistBucketBytes(), int64_t{1} << 20);
-  }
-  {
-    EnvVarGuard g("GRADGCL_DIST_BUCKET_BYTES", "4096");
-    EXPECT_EQ(ResolveDistBucketBytes(), 4096);
-  }
-  for (const char* bad : {"4", "0", "-8", "lots"}) {
-    EnvVarGuard g("GRADGCL_DIST_BUCKET_BYTES", bad);
-    EXPECT_EQ(ResolveDistBucketBytes(), int64_t{1} << 20) << bad;
   }
 }
 

@@ -1,14 +1,30 @@
 // Tests for the pooled tape substrate (tensor/pool.h) and the fused
 // GradGCL loss kernels: bucket/recycling behaviour, TapeScope
-// lifecycle, the steady-state zero-allocation guarantee, and *exact*
-// (bitwise, not tolerance) equivalence of the fused kernels and the
-// pooled allocator against the reference paths, across thread counts.
+// lifecycle, ASAN poisoning of pooled buffers, the steady-state
+// zero-allocation guarantee, and *exact* (bitwise, not tolerance)
+// equivalence of the fused kernels with the op-by-op compositions in
+// loss_reference.h and of pooled with heap training, across thread
+// counts.
 
+#include <cstdio>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define GRADGCL_TEST_UNDER_ASAN 1
+#endif
+#endif
+#if !defined(GRADGCL_TEST_UNDER_ASAN) && defined(__SANITIZE_ADDRESS__)
+#define GRADGCL_TEST_UNDER_ASAN 1
+#endif
+#if defined(GRADGCL_TEST_UNDER_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "autograd/ops.h"
 #include "common/parallel.h"
@@ -20,6 +36,8 @@
 #include "tensor/pool.h"
 #include "tensor/simd.h"
 #include "train/optimizer.h"
+
+#include "loss_reference.h"
 
 namespace gradgcl {
 namespace {
@@ -52,28 +70,22 @@ namespace {
   return ::testing::AssertionSuccess();
 }
 
-// Restores the pool/fusion switches and the thread count, so each test
-// can toggle them freely.
+// Restores the thread count, the SIMD table and the parallel cost
+// threshold, so each test can change them freely.
 class PoolEnvironmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    pooling_ = PoolingEnabled();
-    fused_ = FusedKernelsEnabled();
     threads_ = NumThreads();
     simd_ = simd::Enabled();
     min_cost_ = internal::MinParallelCost();
   }
   void TearDown() override {
-    SetPoolingEnabled(pooling_);
-    SetFusedKernelsEnabled(fused_);
     SetNumThreads(threads_);
     simd::SetEnabled(simd_);
     internal::SetMinParallelCost(min_cost_);
   }
 
  private:
-  bool pooling_ = true;
-  bool fused_ = true;
   int threads_ = 1;
   bool simd_ = true;
   int64_t min_cost_ = 0;
@@ -132,8 +144,53 @@ TEST_F(MatrixPoolTest, HeapAllocIsCounted) {
   MatrixPool::HeapFree(p);
 }
 
+// In an ASAN build a pooled buffer is poisoned while it sits in a free
+// list, and a live one past its matrix's size, so ASAN sees the same
+// accesses in pooled buffers as in heap ones.
+TEST_F(MatrixPoolTest, ReleasedBuffersAndTailsArePoisonedUnderAsan) {
+#if defined(GRADGCL_TEST_UNDER_ASAN)
+  MatrixPool& pool = MatrixPool::Instance();
+  size_t cap = 0;
+  double* p = pool.Acquire(100, &cap);
+  ASSERT_EQ(cap, 128u);
+  EXPECT_FALSE(__asan_address_is_poisoned(p));
+  EXPECT_FALSE(__asan_address_is_poisoned(p + 99));
+  EXPECT_TRUE(__asan_address_is_poisoned(p + 100));
+  EXPECT_TRUE(__asan_address_is_poisoned(p + 127));
+
+  // A pooled Matrix reusing its buffer at another size moves the
+  // boundary with it.
+  {
+    TapeScope tape;
+    Matrix m(10, 10, 1.0);  // 100 of 128
+    const Matrix small(4, 4, 2.0);
+    const Matrix large(11, 11, 3.0);
+    EXPECT_TRUE(__asan_address_is_poisoned(m.data() + 100));
+    m = small;
+    EXPECT_FALSE(__asan_address_is_poisoned(m.data() + 15));
+    EXPECT_TRUE(__asan_address_is_poisoned(m.data() + 16));
+    m = large;
+    EXPECT_FALSE(__asan_address_is_poisoned(m.data() + 120));
+    EXPECT_TRUE(__asan_address_is_poisoned(m.data() + 121));
+  }
+
+  pool.Release(p, cap);
+  EXPECT_TRUE(__asan_address_is_poisoned(p));
+  EXPECT_TRUE(__asan_address_is_poisoned(p + 99));
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const volatile double* released = p;
+        std::printf("%f\n", released[0]);
+      },
+      "use-after-poison");
+  pool.Trim();
+#else
+  GTEST_SKIP() << "pool poisoning is compiled in only under ASAN";
+#endif
+}
+
 TEST_F(TapeScopeTest, PoolsOnlyInsideActiveScope) {
-  SetPoolingEnabled(true);
   MatrixPool& pool = MatrixPool::Instance();
   EXPECT_FALSE(TapeScope::Active());
 
@@ -152,21 +209,9 @@ TEST_F(TapeScopeTest, PoolsOnlyInsideActiveScope) {
   EXPECT_FALSE(TapeScope::Active());
   after = pool.stats();
   EXPECT_EQ(after.acquires, before.acquires + 1);
-
-  // With pooling disabled the scope is inert.
-  SetPoolingEnabled(false);
-  before = pool.stats();
-  {
-    TapeScope tape;
-    Matrix inside = Matrix::Uninitialized(16, 16);
-  }
-  after = pool.stats();
-  EXPECT_EQ(after.acquires, before.acquires);
-  EXPECT_EQ(after.heap_allocs, before.heap_allocs + 1);
 }
 
 TEST_F(TapeScopeTest, PooledMatrixOutlivesItsScope) {
-  SetPoolingEnabled(true);
   MatrixPool& pool = MatrixPool::Instance();
   pool.Trim();
 
@@ -189,7 +234,6 @@ TEST_F(TapeScopeTest, PooledMatrixOutlivesItsScope) {
 }
 
 TEST_F(TapeScopeTest, ScopesNest) {
-  SetPoolingEnabled(true);
   EXPECT_FALSE(TapeScope::Active());
   {
     TapeScope outer;
@@ -204,7 +248,6 @@ TEST_F(TapeScopeTest, ScopesNest) {
 }
 
 TEST_F(TapeScopeTest, ConcurrentScopesAreThreadSafe) {
-  SetPoolingEnabled(true);
   MatrixPool& pool = MatrixPool::Instance();
   const PoolStats before = pool.stats();
 
@@ -234,8 +277,9 @@ TEST_F(TapeScopeTest, ConcurrentScopesAreThreadSafe) {
 
 // One fixed-shape GradGCL training step: two linear encoders, the
 // combined loss, backward, Adam. Parameters and optimizer state live
-// outside any TapeScope (pool-exempt); each step opens its own scope
-// exactly like train/trainer.cc does.
+// outside any TapeScope (pool-exempt); a pooled step opens its own
+// scope exactly like the training loop does, an unpooled one runs on
+// plain heap buffers.
 struct StepWorkload {
   StepWorkload()
       : rng(7),
@@ -246,8 +290,9 @@ struct StepWorkload {
         loss_fn(GradGclConfig{}),
         opt({w1, w2}, 1e-3) {}
 
-  double Step() {
-    TapeScope tape;
+  double Step(bool pooled = true) {
+    std::optional<TapeScope> tape;
+    if (pooled) tape.emplace();
     opt.ZeroGrad();
     TwoViewBatch views{ag::Tanh(ag::MatMul(Variable(x1), w1)),
                        ag::Tanh(ag::MatMul(Variable(x2), w2))};
@@ -265,8 +310,6 @@ struct StepWorkload {
 };
 
 TEST_F(AllocationRegressionTest, SteadyStateStepIsAllocationFree) {
-  SetPoolingEnabled(true);
-  SetFusedKernelsEnabled(true);
   MatrixPool& pool = MatrixPool::Instance();
 
   StepWorkload workload;
@@ -292,19 +335,18 @@ TEST_F(AllocationRegressionTest, SteadyStateStepIsAllocationFree) {
 }
 
 TEST_F(PooledTrainingTest, PoolingDoesNotChangeTrainingBits) {
-  SetFusedKernelsEnabled(true);
-  // Identical runs with the pool on and off: loss trajectory and final
-  // weights must match bit for bit (recycled buffers are handed out
-  // uninitialized, so any read-before-write would show up here).
-  SetPoolingEnabled(true);
+  // Identical runs inside and outside a TapeScope: loss trajectory and
+  // final weights must match bit for bit (recycled buffers are handed
+  // out uninitialized, so any read-before-write would show up here).
   StepWorkload pooled;
   std::vector<double> pooled_losses;
   for (int i = 0; i < 6; ++i) pooled_losses.push_back(pooled.Step());
 
-  SetPoolingEnabled(false);
   StepWorkload unpooled;
   std::vector<double> unpooled_losses;
-  for (int i = 0; i < 6; ++i) unpooled_losses.push_back(unpooled.Step());
+  for (int i = 0; i < 6; ++i) {
+    unpooled_losses.push_back(unpooled.Step(/*pooled=*/false));
+  }
 
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(std::memcmp(&pooled_losses[i], &unpooled_losses[i],
@@ -318,10 +360,9 @@ TEST_F(PooledTrainingTest, PoolingDoesNotChangeTrainingBits) {
   MatrixPool::Instance().Trim();
 }
 
-// Value + input gradients of a Variable-valued functional, evaluated
-// under a given fused/unfused setting. The probe weights make the
-// upstream gradient non-constant so backward closures are exercised
-// beyond an all-ones seed.
+// Value + input gradients of a Variable-valued functional. The probe
+// weights make the upstream gradient non-constant so backward closures
+// are exercised beyond an all-ones seed.
 struct EvalResult {
   Matrix value;
   Matrix du;
@@ -329,9 +370,8 @@ struct EvalResult {
 };
 
 template <typename Fn>
-EvalResult EvalWithGrads(bool fused, const Matrix& mu, const Matrix& mv,
+EvalResult EvalWithGrads(const Matrix& mu, const Matrix& mv,
                          const Matrix& probe, Fn&& fn) {
-  SetFusedKernelsEnabled(fused);
   Variable u(mu, true);
   Variable v(mv, true);
   Variable out = fn(u, v);
@@ -351,16 +391,19 @@ TEST_F(FusedEquivalenceTest, InfoNceGradientFeaturesMatchUnfusedExactly) {
   auto features = [&](const Variable& u, const Variable& v) {
     return InfoNceGradientFeatures(u, v, tau);
   };
+  auto reference = [&](const Variable& u, const Variable& v) {
+    return reference::InfoNceGradientFeatures(u, v, tau);
+  };
 
-  const EvalResult ref =
-      EvalWithGrads(false, mu, mv, probe, features);  // unfused, 1 thread
+  SetNumThreads(1);
+  const EvalResult ref = EvalWithGrads(mu, mv, probe, reference);
   for (int threads : {1, 2, 4}) {
     SetNumThreads(threads);
-    const EvalResult fused = EvalWithGrads(true, mu, mv, probe, features);
+    const EvalResult fused = EvalWithGrads(mu, mv, probe, features);
     EXPECT_TRUE(BitIdentical(fused.value, ref.value)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.du, ref.du)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.dv, ref.dv)) << threads << " threads";
-    const EvalResult unfused = EvalWithGrads(false, mu, mv, probe, features);
+    const EvalResult unfused = EvalWithGrads(mu, mv, probe, reference);
     EXPECT_TRUE(BitIdentical(unfused.value, ref.value))
         << threads << " threads";
     EXPECT_TRUE(BitIdentical(unfused.du, ref.du)) << threads << " threads";
@@ -375,11 +418,15 @@ TEST_F(FusedEquivalenceTest, JsdGradientFeaturesMatchUnfusedExactly) {
   auto features = [&](const Variable& u, const Variable& v) {
     return JsdGradientFeatures(u, v);
   };
+  auto reference = [&](const Variable& u, const Variable& v) {
+    return reference::JsdGradientFeatures(u, v);
+  };
 
-  const EvalResult ref = EvalWithGrads(false, mu, mv, probe, features);
+  SetNumThreads(1);
+  const EvalResult ref = EvalWithGrads(mu, mv, probe, reference);
   for (int threads : {1, 2, 4}) {
     SetNumThreads(threads);
-    const EvalResult fused = EvalWithGrads(true, mu, mv, probe, features);
+    const EvalResult fused = EvalWithGrads(mu, mv, probe, features);
     EXPECT_TRUE(BitIdentical(fused.value, ref.value)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.du, ref.du)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.dv, ref.dv)) << threads << " threads";
@@ -394,11 +441,15 @@ TEST_F(FusedEquivalenceTest, InfoNceLossMatchesUnfusedExactly) {
   auto loss = [&](const Variable& u, const Variable& v) {
     return InfoNce(u, v, 0.5);
   };
+  auto reference = [&](const Variable& u, const Variable& v) {
+    return reference::InfoNce(u, v, 0.5);
+  };
 
-  const EvalResult ref = EvalWithGrads(false, mu, mv, probe, loss);
+  SetNumThreads(1);
+  const EvalResult ref = EvalWithGrads(mu, mv, probe, reference);
   for (int threads : {1, 2, 4}) {
     SetNumThreads(threads);
-    const EvalResult fused = EvalWithGrads(true, mu, mv, probe, loss);
+    const EvalResult fused = EvalWithGrads(mu, mv, probe, loss);
     EXPECT_TRUE(BitIdentical(fused.value, ref.value)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.du, ref.du)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.dv, ref.dv)) << threads << " threads";
@@ -410,15 +461,20 @@ TEST_F(FusedEquivalenceTest, GradGclLossMatchesUnfusedExactly) {
   const Matrix mu = Matrix::RandomNormal(14, 10, rng);
   const Matrix mv = Matrix::RandomNormal(14, 10, rng);
   const Matrix probe;  // scalar loss
-  GradGclLoss loss_fn(GradGclConfig{});  // weight 0.5: both components live
+  const GradGclConfig config;  // weight 0.5: both components live
+  GradGclLoss loss_fn(config);
   auto loss = [&](const Variable& u, const Variable& v) {
     return loss_fn(TwoViewBatch{u, v});
   };
+  auto reference = [&](const Variable& u, const Variable& v) {
+    return reference::GradGclLoss(u, v, config.weight, config.tau);
+  };
 
-  const EvalResult ref = EvalWithGrads(false, mu, mv, probe, loss);
+  SetNumThreads(1);
+  const EvalResult ref = EvalWithGrads(mu, mv, probe, reference);
   for (int threads : {1, 2, 4}) {
     SetNumThreads(threads);
-    const EvalResult fused = EvalWithGrads(true, mu, mv, probe, loss);
+    const EvalResult fused = EvalWithGrads(mu, mv, probe, loss);
     EXPECT_TRUE(BitIdentical(fused.value, ref.value)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.du, ref.du)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.dv, ref.dv)) << threads << " threads";

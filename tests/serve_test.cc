@@ -1,7 +1,7 @@
 // Tests for the serving subsystem (src/serve/): bitwise parity of the
 // tape-free InferenceSession forward against the trainer-side encoder
-// (graph + node paths, snapshot load path) across worker counts, SIMD
-// modes, and pooling modes; engine parity at 1, 2, and 4 workers;
+// (graph + node paths, snapshot load path) across worker counts and
+// SIMD modes, heap reference against pooled session; engine parity at 1, 2, and 4 workers;
 // admission, shutdown, and oversized requests; ModelRegistry versioning
 // and RCU hot-swap under load (>= 100 snapshot swaps, zero dropped /
 // version-mismatched requests, at 1, 2, and 4 workers); multi-model
@@ -26,7 +26,6 @@
 #include "serve/engine.h"
 #include "serve/registry.h"
 #include "serve/session.h"
-#include "tensor/pool.h"
 #include "tensor/simd.h"
 
 namespace gradgcl {
@@ -55,14 +54,10 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
                      sizeof(double) * static_cast<size_t>(a.size())) == 0;
 }
 
-// Saves and restores the runtime mode switches the parity tests sweep.
+// Saves and restores the SIMD table the parity tests sweep.
 struct ModeGuard {
   bool simd = simd::Enabled();
-  bool pooling = PoolingEnabled();
-  ~ModeGuard() {
-    simd::SetEnabled(simd);
-    SetPoolingEnabled(pooling);
-  }
+  ~ModeGuard() { simd::SetEnabled(simd); }
 };
 
 EncoderConfig TestConfig(EncoderKind kind, ReadoutKind readout) {
@@ -89,17 +84,16 @@ TEST(ServeSessionTest, GraphEmbeddingsBitIdenticalToEncoder) {
       const std::unique_ptr<InferenceSession> session =
           InferenceSession::FromEncoder(encoder);
       ASSERT_NE(session, nullptr);
+      // The reference runs outside any TapeScope, on heap buffers;
+      // the session runs on pooled ones.
       for (bool simd_on : {false, true}) {
-        for (bool pooled : {false, true}) {
-          simd::SetEnabled(simd_on);
-          SetPoolingEnabled(pooled);
-          const Matrix ref = encoder.ForwardGraphs(batch).value();
-          const Matrix got = session->EmbedGraphs(batch);
-          EXPECT_TRUE(BitIdentical(got, ref))
-              << "kind=" << static_cast<int>(kind)
-              << " readout=" << static_cast<int>(readout)
-              << " simd=" << simd_on << " pooled=" << pooled;
-        }
+        simd::SetEnabled(simd_on);
+        const Matrix ref = encoder.ForwardGraphs(batch).value();
+        const Matrix got = session->EmbedGraphs(batch);
+        EXPECT_TRUE(BitIdentical(got, ref))
+            << "kind=" << static_cast<int>(kind)
+            << " readout=" << static_cast<int>(readout)
+            << " simd=" << simd_on;
       }
     }
   }
@@ -116,13 +110,10 @@ TEST(ServeSessionTest, NodeEmbeddingsBitIdenticalToEncoder) {
         InferenceSession::FromEncoder(encoder);
     ASSERT_NE(session, nullptr);
     for (bool simd_on : {false, true}) {
-      for (bool pooled : {false, true}) {
-        simd::SetEnabled(simd_on);
-        SetPoolingEnabled(pooled);
-        const Matrix ref = encoder.ForwardNodes(batch).value();
-        const Matrix got = session->EmbedNodes(batch);
-        EXPECT_TRUE(BitIdentical(got, ref));
-      }
+      simd::SetEnabled(simd_on);
+      const Matrix ref = encoder.ForwardNodes(batch).value();
+      const Matrix got = session->EmbedNodes(batch);
+      EXPECT_TRUE(BitIdentical(got, ref)) << "simd=" << simd_on;
     }
   }
 }
